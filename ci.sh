@@ -288,6 +288,11 @@ grep -q 'TANGO_FLEET_REQUESTS' "$SCRATCH/fleet.err" || {
     exit 1
 }
 
+echo "== repo benchmark: digest gate (--smoke; tier 1 does not build this package) =="
+# Every workload at the tiny scale, each result checked against
+# benchmark/expected/digests.txt; exits nonzero on any failed op.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
+
 echo "== bench_perf: perf baseline artifacts =="
 TANGO_PRESET=tiny TANGO_RESULTS_DIR="$SCRATCH" TANGO_JOBS=2 \
     cargo run --release -q -p tango-bench --bin bench_perf >/dev/null

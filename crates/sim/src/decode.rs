@@ -108,6 +108,18 @@ mod tests {
     }
 
     #[test]
+    fn component_and_stall_reason_all_match_discriminants() {
+        // `EnergyBreakdown` and `StallBreakdown` index by `x as usize` and
+        // iterate via ALL.
+        for (i, &c) in crate::power::Component::ALL.iter().enumerate() {
+            assert_eq!(c as usize, i, "{c:?} discriminant moved");
+        }
+        for (i, &r) in crate::stats::StallReason::ALL.iter().enumerate() {
+            assert_eq!(r as usize, i, "{r:?} discriminant moved");
+        }
+    }
+
+    #[test]
     fn decode_preserves_scoreboard_facts() {
         let mut b = KernelBuilder::new("dec");
         let tid = b.reg();

@@ -10,6 +10,7 @@ use crate::power::PowerMeter;
 use crate::sched::Scheduler;
 use crate::sm::{LaunchAgg, Sm, SmEnv};
 use crate::stats::KernelStats;
+use std::sync::OnceLock;
 use tango_isa::{max_live_registers, Dim3, KernelProgram};
 
 /// Safety valve: a single launch exceeding this many cycles is a simulator
@@ -329,6 +330,13 @@ impl Gpu {
     }
 }
 
+/// Whether `TANGO_DEBUG_HANG` is set, sampled at first use: the launch
+/// loop asks once per step.
+fn debug_hang() -> bool {
+    static FLAG: OnceLock<bool> = OnceLock::new();
+    *FLAG.get_or_init(|| std::env::var_os("TANGO_DEBUG_HANG").is_some())
+}
+
 /// Whether a [`LaunchFrame`] still has work left.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepStatus {
@@ -497,7 +505,7 @@ impl LaunchFrame<'_> {
         let target = next_event.clamp(self.cycle + 1, self.cycle + 1_000_000);
         self.weight = target - self.cycle;
         self.cycle = target;
-        if std::env::var_os("TANGO_DEBUG_HANG").is_some() && self.cycle > 5_000 && self.cycle % 2048 < self.weight {
+        if debug_hang() && self.cycle > 5_000 && self.cycle % 2048 < self.weight {
             for (i, sm) in self.sms.iter().enumerate() {
                 if sm.is_active() {
                     eprintln!("[hang] cycle {} sm {i}: {}", self.cycle, sm.debug_state(self.cycle, self.program));
@@ -736,37 +744,38 @@ mod tests {
         assert_eq!(sampled.warp_instructions, full.warp_instructions);
     }
 
+    fn reuse_program(iters: u32) -> KernelProgram {
+        // Every thread reads the SAME `iters` floats: extreme reuse.
+        let mut b = KernelBuilder::new("reuse");
+        let i = b.reg();
+        let acc = b.reg();
+        let addr = b.reg();
+        let v = b.reg();
+        let p = b.pred();
+        let base = b.load_param(0);
+        b.mov(DType::U32, i, Operand::imm_u32(0));
+        b.mov(DType::F32, acc, Operand::imm_f32(0.0));
+        let top = b.place_new_label();
+        b.shl(DType::U32, addr, i.into(), Operand::imm_u32(2));
+        b.add(DType::U32, addr, addr.into(), base.into());
+        b.ld_global(DType::F32, v, addr, 0);
+        b.add(DType::F32, acc, acc.into(), v.into());
+        b.add(DType::U32, i, i.into(), Operand::imm_u32(1));
+        b.set(CmpOp::Lt, DType::U32, p, i.into(), Operand::imm_u32(iters));
+        b.bra_if(p, true, top);
+        b.exit();
+        b.build().unwrap()
+    }
+
     #[test]
     fn l1_disabled_pushes_traffic_to_l2() {
-        let reuse_program = || {
-            // Every thread reads the SAME 512 floats: extreme reuse.
-            let mut b = KernelBuilder::new("reuse");
-            let i = b.reg();
-            let acc = b.reg();
-            let addr = b.reg();
-            let v = b.reg();
-            let p = b.pred();
-            let base = b.load_param(0);
-            b.mov(DType::U32, i, Operand::imm_u32(0));
-            b.mov(DType::F32, acc, Operand::imm_f32(0.0));
-            let top = b.place_new_label();
-            b.shl(DType::U32, addr, i.into(), Operand::imm_u32(2));
-            b.add(DType::U32, addr, addr.into(), base.into());
-            b.ld_global(DType::F32, v, addr, 0);
-            b.add(DType::F32, acc, acc.into(), v.into());
-            b.add(DType::U32, i, i.into(), Operand::imm_u32(1));
-            b.set(CmpOp::Lt, DType::U32, p, i.into(), Operand::imm_u32(512));
-            b.bra_if(p, true, top);
-            b.exit();
-            b.build().unwrap()
-        };
         let mut with_l1 = Gpu::new(GpuConfig::gp102());
         let buf = with_l1.upload_f32s(&vec![1.0; 512]);
-        let s1 = with_l1.launch(&reuse_program(), Dim3::x(4), Dim3::x(128), &[buf], 0, &SimOptions::new());
+        let s1 = with_l1.launch(&reuse_program(512), Dim3::x(4), Dim3::x(128), &[buf], 0, &SimOptions::new());
         let mut no_l1 = Gpu::new(GpuConfig::gp102());
         let buf2 = no_l1.upload_f32s(&vec![1.0; 512]);
         let s2 = no_l1.launch(
-            &reuse_program(),
+            &reuse_program(512),
             Dim3::x(4),
             Dim3::x(128),
             &[buf2],
@@ -854,35 +863,114 @@ mod tests {
         b.build().unwrap()
     }
 
+    fn smem_bar_program() -> KernelProgram {
+        // out[gt] = x[gt] + x[neighbour]: stage through shared memory, so
+        // every warp parks at the barrier until its CTA's last warp arrives.
+        let mut b = KernelBuilder::new("smem_bar");
+        b.set_smem_bytes(128 * 4);
+        let tid = b.reg();
+        b.tid_x(tid);
+        let gt = b.global_tid_x();
+        let x_base = b.load_param(0);
+        let o_base = b.load_param(1);
+        let soff = b.reg();
+        let ga = b.reg();
+        let v = b.reg();
+        let w = b.reg();
+        b.shl(DType::U32, soff, tid.into(), Operand::imm_u32(2));
+        b.mad_lo(DType::U32, ga, gt, Operand::imm_u32(4), x_base.into());
+        b.ld_global(DType::F32, v, ga, 0);
+        b.st_shared(DType::F32, soff, 0, v);
+        b.bar();
+        b.add(DType::U32, soff, soff.into(), Operand::imm_u32(4));
+        b.and(DType::U32, soff, soff.into(), Operand::imm_u32(127 * 4));
+        b.ld_shared(DType::F32, w, soff, 0);
+        b.add(DType::F32, w, w.into(), v.into());
+        b.mad_lo(DType::U32, ga, gt, Operand::imm_u32(4), o_base.into());
+        b.st_global(DType::F32, ga, 0, w);
+        b.exit();
+        b.build().unwrap()
+    }
+
+    /// The issue-stage exactness matrix: {GTO, LRR, TLV} x {L1D default,
+    /// bypassed} x {streaming saxpy, the `reuse` loop, shared memory +
+    /// `bar`} on a TX1 (32 resident CTAs of 128 threads) with grids past
+    /// residency, so warp slots are recycled mid-launch. `run` drives each
+    /// frame to its statistics; a row is (cell label, stats, output buffer).
+    fn issue_matrix(mut run: impl FnMut(LaunchFrame<'_>) -> KernelStats) -> Vec<(String, KernelStats, Vec<f32>)> {
+        let kernels: [(&str, KernelProgram, u32); 3] = [
+            ("saxpy", saxpy_program(), 80),
+            ("reuse", reuse_program(48), 40),
+            ("smem_bar", smem_bar_program(), 80),
+        ];
+        let mut out = Vec::new();
+        for policy in SchedulerPolicy::ALL {
+            for l1_bypass in [false, true] {
+                for (name, program, grid) in &kernels {
+                    let n = (*grid * 128) as usize;
+                    let mut gpu = Gpu::new(GpuConfig::tx1());
+                    let x = gpu.upload_f32s(&(0..n).map(|i| (i % 97) as f32).collect::<Vec<_>>());
+                    let y = gpu.upload_f32s(&vec![1.0; n]);
+                    let params = [x, y, 0.5f32.to_bits()];
+                    let mut opts = SimOptions::new()
+                        .with_scheduler(policy)
+                        .with_cta_sample_limit(None)
+                        .with_memo(false);
+                    if l1_bypass {
+                        opts = opts.with_l1d_bytes(0);
+                    }
+                    let frame = gpu.begin_launch(program, Dim3::x(*grid), Dim3::x(128), &params, program.smem_bytes(), &opts);
+                    let stats = run(frame);
+                    let label = format!("{policy}/{}/{name}", if l1_bypass { "no_l1" } else { "l1" });
+                    out.push((label, stats, gpu.download_f32s(y, n)));
+                }
+            }
+        }
+        out
+    }
+
+    fn fnv1a(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+    }
+
+    #[test]
+    fn issue_stage_statistics_match_the_recorded_goldens() {
+        // FNV-1a of `format!("{stats:?}")`, recorded at the commit before
+        // the issue stage became event-driven (stall cache + per-SM sleep).
+        // The event-driven stage must reproduce every counter, the cycle
+        // count, and every energy/peak-power float to the bit.
+        const GOLDEN: [u64; 18] = [
+            0x5f33ca1780801c41, 0x942b41823754d51a, 0x31fc35a3f5efeb2c, 0x810edac97c2a08fe, 0xda7b586f1ec44a52,
+            0x302d166615066af8, 0x0e37f8defced5410, 0x0fce67d38c5ae5b7, 0x9ecfc10ac5c910f4, 0xf5c3c148511a1dd2,
+            0x640e3d842c9d8512, 0xa68f5c673f9cc87c, 0x84f7a957ed00437b, 0x714d100c9c45f743, 0x6559e8abbab025dc,
+            0xc19f8b242f88a820, 0x54c9f0f8b45a45e2, 0x50664d7dee74b656,
+        ];
+        let rows = issue_matrix(|frame| frame.finish());
+        let got: Vec<u64> = rows.iter().map(|(_, stats, _)| fnv1a(&format!("{stats:?}"))).collect();
+        for ((label, stats, _), (g, want)) in rows.iter().zip(got.iter().zip(GOLDEN)) {
+            assert_eq!(*g, want, "{label} diverged: {stats:?}\nall digests now: {got:#018x?}");
+        }
+        assert_eq!(got.len(), GOLDEN.len());
+    }
+
     #[test]
     fn stepwise_launch_matches_one_shot() {
-        let n = 1024usize;
-        let run = |stepwise: bool| {
-            let mut gpu = Gpu::new(GpuConfig::gp102());
-            let x_addr = gpu.upload_f32s(&(0..n).map(|i| i as f32).collect::<Vec<_>>());
-            let o_addr = gpu.alloc_bytes(n as u32 * 4);
-            let params = [x_addr, o_addr];
-            let program = scale_program();
-            let opts = SimOptions::new();
-            let stats = if stepwise {
-                let mut frame = gpu.begin_launch(&program, Dim3::x(16), Dim3::x(64), &params, 0, &opts);
-                let mut steps = 0u32;
-                while frame.step(7) == StepStatus::Running {
-                    steps += 1;
-                    assert!(steps < 1_000_000, "frame never completed");
-                }
-                assert!(frame.is_done());
-                frame.finish()
-            } else {
-                gpu.launch(&program, Dim3::x(16), Dim3::x(64), &params, 0, &opts)
-            };
-            (stats, gpu.download_f32s(o_addr, n))
-        };
-        let (one_shot, out_a) = run(false);
-        let (stepped, out_b) = run(true);
-        assert_eq!(out_a, out_b);
-        // Byte-identical statistics: slicing only chunks the same loop.
-        assert_eq!(format!("{one_shot:?}"), format!("{stepped:?}"));
+        // `step(budget)` slices land inside event skips and SM sleeps;
+        // slicing must only chunk the same deterministic loop.
+        let one_shot = issue_matrix(|frame| frame.finish());
+        let stepped = issue_matrix(|mut frame| {
+            let mut steps = 0u32;
+            while frame.step(7) == StepStatus::Running {
+                steps += 1;
+                assert!(steps < 10_000_000, "frame never completed");
+            }
+            assert!(frame.is_done());
+            frame.finish()
+        });
+        for ((label, a, out_a), (_, b, out_b)) in one_shot.iter().zip(&stepped) {
+            assert_eq!(out_a, out_b, "{label}");
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "{label}");
+        }
     }
 
     #[test]

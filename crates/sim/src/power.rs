@@ -99,8 +99,10 @@ impl Component {
         }
     }
 
+    /// Position in [`ALL`](Self::ALL), which lists the variants in
+    /// declaration order (pinned by a test in `decode.rs`).
     fn index(self) -> usize {
-        Component::ALL.iter().position(|&c| c == self).expect("component in ALL")
+        self as usize
     }
 }
 

@@ -10,7 +10,7 @@
 use crate::config::SchedulerPolicy;
 
 /// Stateful warp scheduler for one SM.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Scheduler {
     policy: SchedulerPolicy,
     lrr_next: usize,
@@ -32,26 +32,10 @@ impl Scheduler {
         }
     }
 
-    #[allow(dead_code)]
-    pub fn policy(&self) -> SchedulerPolicy {
-        self.policy
-    }
-
-    /// Candidate issue order over `occupied` warp slots (`(slot, age)`
-    /// pairs, unfinished warps only). The hot path uses
-    /// [`order_into`](Self::order_into) with cached orders; this
-    /// allocating variant remains for tests and external inspection.
-    #[allow(dead_code)]
-    pub fn candidate_order(&self, occupied: &[(usize, u64)]) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.candidate_order_into(occupied, &mut out);
-        out
-    }
-
-    /// Allocation- and sort-free ordering used by the SM's hot loop:
-    /// `age_order` holds occupied slots oldest-first, `slot_asc` the same
-    /// slots in ascending slot order (both maintained incrementally by the
-    /// SM). Writes the candidate order into `out`.
+    /// Candidate issue order over the occupied warp slots. Allocation- and
+    /// sort-free: `age_order` holds the slots oldest-first, `slot_asc` the
+    /// same slots in ascending slot order (both maintained incrementally
+    /// by the SM). Writes the candidate order into `out`.
     pub fn order_into(&self, age_order: &[usize], slot_asc: &[usize], out: &mut Vec<usize>) {
         out.clear();
         match self.policy {
@@ -100,71 +84,6 @@ impl Scheduler {
                 }
             }
         }
-    }
-
-    /// Allocation-free variant of [`candidate_order`](Self::candidate_order):
-    /// writes into `out` (cleared first).
-    #[allow(dead_code)]
-    pub fn candidate_order_into(&self, occupied: &[(usize, u64)], out: &mut Vec<usize>) {
-        out.clear();
-        let order: Vec<usize> = match self.policy {
-            SchedulerPolicy::Lrr => {
-                let mut slots: Vec<usize> = occupied.iter().map(|&(s, _)| s).collect();
-                slots.sort_unstable();
-                let pivot = slots.partition_point(|&s| s < self.lrr_next);
-                let mut order = Vec::with_capacity(slots.len());
-                order.extend_from_slice(&slots[pivot..]);
-                order.extend_from_slice(&slots[..pivot]);
-                order
-            }
-            SchedulerPolicy::Gto => {
-                let mut rest: Vec<(usize, u64)> = occupied.to_vec();
-                rest.sort_by_key(|&(_, age)| age);
-                let mut order = Vec::with_capacity(rest.len() + 1);
-                if let Some(cur) = self.gto_current {
-                    if occupied.iter().any(|&(s, _)| s == cur) {
-                        order.push(cur);
-                    }
-                }
-                for (s, _) in rest {
-                    if Some(s) != self.gto_current {
-                        order.push(s);
-                    }
-                }
-                order
-            }
-            SchedulerPolicy::Tlv => {
-                let mut order: Vec<usize> = self
-                    .tlv_active
-                    .iter()
-                    .copied()
-                    .filter(|s| occupied.iter().any(|&(o, _)| o == *s))
-                    .collect();
-                if order.len() < self.tlv_capacity {
-                    // Fill vacancies with the oldest pending warps; warps
-                    // recently suspended on a memory stall come last so a
-                    // swap actually brings fresh work in.
-                    let mut pending: Vec<(usize, u64)> = occupied
-                        .iter()
-                        .copied()
-                        .filter(|&(s, _)| !order.contains(&s) && !self.tlv_suspended.contains(&s))
-                        .collect();
-                    pending.sort_by_key(|&(_, age)| age);
-                    let mut suspended: Vec<(usize, u64)> = occupied
-                        .iter()
-                        .copied()
-                        .filter(|&(s, _)| self.tlv_suspended.contains(&s))
-                        .collect();
-                    suspended.sort_by_key(|&(_, age)| age);
-                    pending.extend(suspended);
-                    for (s, _) in pending.into_iter().take(self.tlv_capacity - order.len()) {
-                        order.push(s);
-                    }
-                }
-                order
-            }
-        };
-        out.extend(order);
     }
 
     /// Records that `slot` issued this cycle.
@@ -225,6 +144,19 @@ impl Scheduler {
         }
     }
 
+    /// Whether walking a candidate order in which every warp is stalled a
+    /// second time leaves the scheduler as the first walk left it — the
+    /// condition for an SM to skip such visits. LRR keeps no stall state,
+    /// and GTO gives up its greedy warp on the first walk; TLV rotates its
+    /// suspended queue in [`note_blocked`](Self::note_blocked) on every
+    /// walk, so each visit changes whom the next one considers.
+    pub fn stalled_walk_is_idempotent(&self) -> bool {
+        match self.policy {
+            SchedulerPolicy::Lrr | SchedulerPolicy::Gto => true,
+            SchedulerPolicy::Tlv => false,
+        }
+    }
+
     /// Debug snapshot of the two-level state.
     pub fn debug_tlv(&self) -> String {
         format!("tlv_active={:?} tlv_suspended={:?} gto_cur={:?} lrr_next={}", self.tlv_active, self.tlv_suspended, self.gto_current, self.lrr_next)
@@ -248,13 +180,26 @@ mod tests {
         slots.iter().map(|&s| (s, s as u64)).collect()
     }
 
+    /// Builds the SM's two incremental orders from `(slot, age)` pairs and
+    /// returns the scheduler's candidate order.
+    fn order_of(s: &Scheduler, occupied: &[(usize, u64)]) -> Vec<usize> {
+        let mut by_age = occupied.to_vec();
+        by_age.sort_by_key(|&(_, age)| age);
+        let age_order: Vec<usize> = by_age.iter().map(|&(slot, _)| slot).collect();
+        let mut slot_asc = age_order.clone();
+        slot_asc.sort_unstable();
+        let mut out = Vec::new();
+        s.order_into(&age_order, &slot_asc, &mut out);
+        out
+    }
+
     #[test]
     fn lrr_rotates_after_issue() {
         let mut s = Scheduler::new(SchedulerPolicy::Lrr, 6);
         let o = occ(&[0, 1, 2, 3]);
-        assert_eq!(s.candidate_order(&o), vec![0, 1, 2, 3]);
+        assert_eq!(order_of(&s, &o), vec![0, 1, 2, 3]);
         s.note_issue(1);
-        assert_eq!(s.candidate_order(&o), vec![2, 3, 0, 1]);
+        assert_eq!(order_of(&s, &o), vec![2, 3, 0, 1]);
     }
 
     #[test]
@@ -262,10 +207,10 @@ mod tests {
         let mut s = Scheduler::new(SchedulerPolicy::Gto, 6);
         let o = vec![(0, 5u64), (1, 2), (2, 9)];
         // No current: oldest (age 2 -> slot 1) first.
-        assert_eq!(s.candidate_order(&o), vec![1, 0, 2]);
+        assert_eq!(order_of(&s, &o), vec![1, 0, 2]);
         s.note_issue(2);
         // Greedy: slot 2 first now.
-        assert_eq!(s.candidate_order(&o), vec![2, 1, 0]);
+        assert_eq!(order_of(&s, &o), vec![2, 1, 0]);
     }
 
     #[test]
@@ -275,7 +220,7 @@ mod tests {
         assert!(s.note_memory_stall(3));
         assert!(!s.note_memory_stall(3), "second report is not a new event");
         let o = occ(&[1, 3]);
-        assert_eq!(s.candidate_order(&o), vec![1, 3]); // back to oldest-first
+        assert_eq!(order_of(&s, &o), vec![1, 3]); // back to oldest-first
     }
 
     #[test]
@@ -289,12 +234,12 @@ mod tests {
     fn tlv_limits_active_set() {
         let mut s = Scheduler::new(SchedulerPolicy::Tlv, 2);
         let o = occ(&[0, 1, 2, 3]);
-        let order = s.candidate_order(&o);
+        let order = order_of(&s, &o);
         // Empty active set: filled with the two oldest.
         assert_eq!(order, vec![0, 1]);
         s.note_issue(0);
         s.note_issue(1);
-        let order = s.candidate_order(&o);
+        let order = order_of(&s, &o);
         assert_eq!(order.len(), 2);
         assert!(order.contains(&0) && order.contains(&1));
     }
@@ -306,7 +251,7 @@ mod tests {
         s.note_issue(0);
         s.note_issue(1);
         assert!(s.note_memory_stall(0));
-        let order = s.candidate_order(&o);
+        let order = order_of(&s, &o);
         assert!(order.contains(&2), "pending warp promoted: {order:?}");
         assert!(order.contains(&1));
     }
@@ -317,7 +262,7 @@ mod tests {
         s.note_issue(4);
         s.note_warp_finished(4);
         let o = occ(&[1, 2]);
-        assert_eq!(s.candidate_order(&o), vec![1, 2]);
+        assert_eq!(order_of(&s, &o), vec![1, 2]);
     }
 
     #[test]
@@ -325,7 +270,7 @@ mod tests {
         for policy in SchedulerPolicy::ALL {
             let s = Scheduler::new(policy, 6);
             let o = occ(&[0, 1, 2, 3, 4]);
-            let order = s.candidate_order(&o);
+            let order = order_of(&s, &o);
             match policy {
                 SchedulerPolicy::Tlv => assert_eq!(order.len(), 5),
                 _ => assert_eq!(order.len(), 5),

@@ -95,12 +95,23 @@ pub(crate) struct Sm {
     warps: Vec<Option<Warp>>,
     ctas: Vec<Option<CtaRt>>,
     mshr: Vec<u64>,
+    /// Smallest entry of `mshr` (`u64::MAX` when empty): nothing retires
+    /// before it, so the per-visit retain and the throttle hint are O(1).
+    mshr_min: u64,
     sched: Scheduler,
     sched_block_until: u64,
+    /// Per warp slot, the scoreboard stall last computed for its resident
+    /// warp (see [`Sm::check_issue`]); `NO_STALL` when none is known.
+    stall_cache: Vec<(StallReason, u64)>,
+    /// Set by a zero-issue visit that proved nothing can change for a
+    /// while; until `wake`, [`Sm::cycle`] returns without touching a warp.
+    sleep: Option<Sleep>,
     const_warm: Vec<bool>,
     resident_threads: u32,
     pub(crate) peak_threads: u32,
     order_scratch: Vec<usize>,
+    /// Reused buffer for the slots that issued in the current visit.
+    issued_scratch: Vec<usize>,
     /// Occupied warp slots, oldest-first (ages are monotone, so accepts
     /// append and finishes remove — no sorting in the hot loop).
     age_order: Vec<usize>,
@@ -114,6 +125,21 @@ pub(crate) struct Sm {
     /// through `ExecOutcome::global_lines` on every global memory op).
     line_scratch: Vec<u32>,
 }
+
+/// An all-stalled SM between two events (DESIGN.md section 14).
+#[derive(Debug)]
+struct Sleep {
+    /// Cycle of the zero-issue visit that recorded this sleep.
+    from: u64,
+    /// First cycle at which some warp's classification can change.
+    wake: u64,
+    /// Resident warps per stall reason, as classified at `from`. Every
+    /// skipped visit would have recorded exactly these.
+    census: StallBreakdown,
+}
+
+/// Empty stall-cache entry: no cycle is below its ready cycle.
+const NO_STALL: (StallReason, u64) = (StallReason::Other, 0);
 
 /// How often (in weighted cycles) the stall sampler classifies every
 /// resident warp. Zero-issue cycles always sample (their classification
@@ -171,12 +197,16 @@ impl Sm {
             warps: (0..warp_slots).map(|_| None).collect(),
             ctas: (0..cta_slots as usize).map(|_| None).collect(),
             mshr: Vec::new(),
+            mshr_min: u64::MAX,
             sched: scheduler,
             sched_block_until: 0,
+            stall_cache: vec![NO_STALL; warp_slots],
+            sleep: None,
             const_warm: vec![false; param_count],
             resident_threads: 0,
             peak_threads: 0,
             order_scratch: Vec::new(),
+            issued_scratch: Vec::new(),
             age_order: Vec::new(),
             slot_asc: Vec::new(),
             sample_debt: 0,
@@ -227,6 +257,7 @@ impl Sm {
                 .position(Option::is_none)
                 .expect("warp slots sized for max residency");
             self.warps[slot] = Some(warp);
+            self.stall_cache[slot] = NO_STALL;
             self.resident_warps += 1;
             self.age_order.push(slot); // ages are monotone: stays sorted
             let at = self.slot_asc.partition_point(|&s| s < slot);
@@ -234,6 +265,11 @@ impl Sm {
         }
         self.resident_threads += threads;
         self.peak_threads = self.peak_threads.max(self.resident_threads);
+        // New warps are new events: the next visit must be a real one (it
+        // still settles the skipped span against the old census first).
+        if let Some(sleep) = self.sleep.as_mut() {
+            sleep.wake = 0;
+        }
     }
 
     fn classify_pend(kind: PendKind) -> StallReason {
@@ -244,72 +280,105 @@ impl Sm {
         }
     }
 
-    /// Scoreboard + structural check. `None` means the warp can issue now;
-    /// otherwise returns the stall reason plus the earliest cycle at which
-    /// the blocking condition can clear (`u64::MAX` for event-driven
-    /// conditions like barriers, whose release is another warp's progress).
-    fn check_issue(&self, slot: usize, env: &SmEnv<'_>, ports: &Ports) -> Option<(StallReason, u64)> {
-        let warp = self.warps[slot].as_ref().expect("checked occupied");
-        if warp.at_barrier {
-            return Some((StallReason::Sync, u64::MAX));
-        }
-        if warp.fetch_ready > env.cycle {
+    /// The pure scoreboard prefix of the issue check: fetch bubble, guard,
+    /// source, destination and predicate-destination readiness, first
+    /// failure wins. It reads only the warp's own state, which only the
+    /// warp's own issue changes, and every condition is `ready > cycle`
+    /// against a fixed `ready` — so a failing `(reason, ready)` stays the
+    /// answer for every cycle below `ready`.
+    fn scoreboard(warp: &Warp, d: &DecodedInst, cycle: u64) -> Option<(StallReason, u64)> {
+        if warp.fetch_ready > cycle {
             return Some((StallReason::InstFetch, warp.fetch_ready));
         }
-        let d = &env.decoded[warp.pc() as usize];
         if let Some(p) = d.guard {
             let ready = warp.pred_ready[p as usize];
-            if ready > env.cycle {
+            if ready > cycle {
                 return Some((StallReason::ExecDependency, ready));
             }
         }
         for &r in &d.reads[..d.nreads as usize] {
             let ready = warp.reg_ready[r as usize];
-            if ready > env.cycle {
+            if ready > cycle {
                 return Some((Self::classify_pend(warp.reg_pend[r as usize]), ready));
             }
         }
         if let Some(dr) = d.dst {
             let ready = warp.reg_ready[dr as usize];
-            if ready > env.cycle {
+            if ready > cycle {
                 return Some((Self::classify_pend(warp.reg_pend[dr as usize]), ready));
             }
         }
         if let Some(p) = d.pdst {
             let ready = warp.pred_ready[p as usize];
-            if ready > env.cycle {
+            if ready > cycle {
                 return Some((StallReason::ExecDependency, ready));
             }
         }
-        match d.unit {
-            FuncUnit::Sp => {
-                if ports.sp >= self.cfg.sp_width {
-                    return Some((StallReason::PipeBusy, env.cycle + 1));
-                }
-            }
-            FuncUnit::Sfu => {
-                if ports.sfu >= self.cfg.sfu_width {
-                    return Some((StallReason::PipeBusy, env.cycle + 1));
-                }
-            }
-            FuncUnit::LdSt => {
-                if ports.ldst >= self.cfg.ldst_width {
-                    return Some((StallReason::PipeBusy, env.cycle + 1));
-                }
-            }
-            FuncUnit::Ctrl => {}
+        None
+    }
+
+    /// The structural tail of the issue check: functional-unit ports and
+    /// MSHRs. Never cached — `ports` differs between the issue loop and the
+    /// sampling pass of one cycle, and MSHRs fill as other warps issue.
+    fn structural(&self, d: &DecodedInst, cycle: u64, ports: &Ports) -> Option<(StallReason, u64)> {
+        let busy = match d.unit {
+            FuncUnit::Sp => ports.sp >= self.cfg.sp_width,
+            FuncUnit::Sfu => ports.sfu >= self.cfg.sfu_width,
+            FuncUnit::LdSt => ports.ldst >= self.cfg.ldst_width,
+            FuncUnit::Ctrl => false,
+        };
+        if busy {
+            return Some((StallReason::PipeBusy, cycle + 1));
         }
         if d.is_global_mem && self.mshr.len() >= self.cfg.mshrs {
-            let drain = self.mshr.iter().copied().min().unwrap_or(env.cycle + 1);
-            return Some((StallReason::MemoryThrottle, drain));
+            return Some((StallReason::MemoryThrottle, self.mshr_min));
         }
         None
+    }
+
+    /// Scoreboard + structural check. `None` means the warp can issue now;
+    /// otherwise returns the stall reason plus the earliest cycle at which
+    /// the blocking condition can clear (`u64::MAX` for event-driven
+    /// conditions like barriers, whose release is another warp's progress).
+    ///
+    /// A scoreboard stall is stored per slot and answered from the store
+    /// until its ready cycle; [`issue`](Self::issue) and
+    /// [`accept_cta`](Self::accept_cta) clear it. Barrier state is another
+    /// warp's doing, so it is checked first and never stored.
+    fn check_issue(&mut self, slot: usize, env: &SmEnv<'_>, ports: &Ports) -> Option<(StallReason, u64)> {
+        let warp = self.warps[slot].as_ref().expect("checked occupied");
+        if warp.at_barrier {
+            return Some((StallReason::Sync, u64::MAX));
+        }
+        let d = &env.decoded[warp.pc() as usize];
+        let cached = self.stall_cache[slot];
+        if env.cycle < cached.1 {
+            debug_assert_eq!(Self::scoreboard(warp, d, env.cycle), Some(cached), "stale stall cache, slot {slot}");
+            return Some(cached);
+        }
+        if let Some(stall) = Self::scoreboard(warp, d, env.cycle) {
+            self.stall_cache[slot] = stall;
+            return Some(stall);
+        }
+        self.structural(d, env.cycle, ports)
+    }
+
+    /// [`check_issue`](Self::check_issue) without the stall cache: the
+    /// reference the debug-build sleep oracle classifies against.
+    fn check_issue_uncached(&self, slot: usize, env: &SmEnv<'_>, ports: &Ports) -> Option<(StallReason, u64)> {
+        let warp = self.warps[slot].as_ref().expect("checked occupied");
+        if warp.at_barrier {
+            return Some((StallReason::Sync, u64::MAX));
+        }
+        let d = &env.decoded[warp.pc() as usize];
+        Self::scoreboard(warp, d, env.cycle).or_else(|| self.structural(d, env.cycle, ports))
     }
 
     /// Issues one warp-instruction: functional execution, timing update,
     /// cache traffic, and energy charges.
     fn issue(&mut self, slot: usize, env: &mut SmEnv<'_>, ports: &mut Ports) {
         let mut warp = self.warps[slot].take().expect("checked occupied");
+        self.stall_cache[slot] = NO_STALL;
         let pc = warp.pc() as usize;
         let d = env.decoded[pc];
         let op = d.op;
@@ -401,6 +470,7 @@ impl Sm {
                             }
                             completion = completion.max(resp.completion_cycle);
                             self.mshr.push(resp.completion_cycle);
+                            self.mshr_min = self.mshr_min.min(resp.completion_cycle);
                         }
                     }
                     if let Some(dr) = dst {
@@ -506,6 +576,15 @@ impl Sm {
         }
     }
 
+    /// Drops the MSHR entries that completed by `cycle`; O(1) when none did.
+    fn retire_mshrs(&mut self, cycle: u64) {
+        if self.mshr_min <= cycle {
+            self.mshr.retain(|&c| c > cycle);
+            self.mshr_min = self.mshr.iter().copied().min().unwrap_or(u64::MAX);
+        }
+        debug_assert_eq!(self.mshr_min, self.mshr.iter().copied().min().unwrap_or(u64::MAX));
+    }
+
     /// Runs one cycle. `env.weight` is the number of machine cycles this
     /// call represents (1 in dense regions; more after an event skip) and
     /// weights the stall-sampling counters.
@@ -514,17 +593,46 @@ impl Sm {
     /// cycle at which this SM's state can change. When no SM can issue,
     /// the launch loop jumps straight to the minimum of these hints
     /// instead of ticking every stalled cycle.
+    ///
+    /// The launch clock follows the *minimum* hint over all SMs, so an SM
+    /// whose own hint is far off is still visited on every other SM's
+    /// events. A zero-issue visit therefore records a [`Sleep`]; visits
+    /// before its wake cycle return here in O(1), and the waking visit
+    /// settles what they would have sampled.
     pub fn cycle(&mut self, env: &mut SmEnv<'_>) -> (bool, u64) {
         if !self.is_active() {
             return (false, u64::MAX);
         }
         let cycle = env.cycle;
-        if !self.mshr.is_empty() {
-            self.mshr.retain(|&c| c > cycle);
+        self.retire_mshrs(cycle);
+
+        if let Some(sleep) = &self.sleep {
+            if cycle < sleep.wake {
+                // What the skipped visit would have returned: every warp's
+                // own hint is at or past `wake`, and a requeue penalty that
+                // the sleeping visit itself started still bounds the hint.
+                let hint = if cycle < self.sched_block_until {
+                    sleep.wake.min(self.sched_block_until)
+                } else {
+                    sleep.wake
+                };
+                if cfg!(debug_assertions) {
+                    self.assert_sleep_is_exact(env, sleep, hint);
+                }
+                return (true, hint);
+            }
+        }
+        if let Some(sleep) = self.sleep.take() {
+            // Each skipped visit sampled the census with its own weight;
+            // the weights tile (from, previous visited cycle]. This step's
+            // `env.weight` belongs to the classification made below.
+            let skipped = (cycle - env.weight) - sleep.from;
+            env.agg.stalls.merge_weighted(&sleep.census, skipped);
         }
 
         let mut ports = Ports::default();
-        let mut issued_slots: Vec<usize> = Vec::with_capacity(self.cfg.issue_width as usize);
+        let mut issued_slots = std::mem::take(&mut self.issued_scratch);
+        issued_slots.clear();
         let mut next_event = u64::MAX;
 
         if cycle >= self.sched_block_until {
@@ -548,11 +656,7 @@ impl Sm {
                         // TLV to move the warp between queues; barriers in
                         // particular MUST leave TLV's active set or the
                         // releasing warps would never be scheduled.
-                        if matches!(
-                            reason,
-                            StallReason::MemoryDependency | StallReason::MemoryThrottle | StallReason::Sync
-                        ) && self.sched.note_memory_stall(slot)
-                        {
+                        if is_long_latency(reason) && self.sched.note_memory_stall(slot) {
                             self.sched_block_until = cycle + self.cfg.requeue_penalty as u64;
                         }
                         self.sched.note_blocked(slot);
@@ -573,29 +677,83 @@ impl Sm {
         if need_hints || self.sample_debt >= SAMPLE_PERIOD {
             let weight = self.sample_debt;
             self.sample_debt = 0;
+            let mut census = StallBreakdown::new();
             for i in 0..self.age_order.len() {
                 let slot = self.age_order[i];
                 if self.warps[slot].is_none() || issued_slots.contains(&slot) {
                     continue;
                 }
-                match self.check_issue(slot, env, &ports) {
-                    Some((reason, hint)) => {
-                        env.agg.stalls.record_n(reason, weight);
-                        next_event = next_event.min(hint.max(cycle + 1));
-                    }
-                    None => {
-                        env.agg.stalls.record_n(StallReason::NotSelected, weight);
-                        next_event = next_event.min(cycle + 1);
-                    }
-                }
+                let (reason, hint) = self
+                    .check_issue(slot, env, &ports)
+                    .unwrap_or((StallReason::NotSelected, cycle + 1));
+                census.record(reason);
+                next_event = next_event.min(hint.max(cycle + 1));
+            }
+            env.agg.stalls.merge_weighted(&census, weight);
+            // Nothing issued and nothing can before `next_event`: the
+            // visits in between would repeat this one. Only a scheduler
+            // whose all-stalled walk is a no-op may skip them.
+            if need_hints && next_event > cycle + 1 && self.sched.stalled_walk_is_idempotent() {
+                self.sleep = Some(Sleep {
+                    from: cycle,
+                    wake: next_event,
+                    census,
+                });
             }
         }
 
         if !issued_slots.is_empty() {
             next_event = cycle + 1;
         }
+        self.issued_scratch = issued_slots;
         (self.is_active(), next_event)
     }
+
+    /// Debug-build oracle for a slept visit: classifying every resident
+    /// warp without the stall cache must reproduce the stored census and
+    /// the returned hint, and the issue walk the visit skipped must leave
+    /// the scheduler exactly as it is.
+    fn assert_sleep_is_exact(&self, env: &SmEnv<'_>, sleep: &Sleep, hint: u64) {
+        let cycle = env.cycle;
+        let ports = Ports::default();
+        let mut census = StallBreakdown::new();
+        let mut next_event = if cycle < self.sched_block_until {
+            self.sched_block_until
+        } else {
+            u64::MAX
+        };
+        for &slot in &self.age_order {
+            let (reason, warp_hint) = self
+                .check_issue_uncached(slot, env, &ports)
+                .unwrap_or_else(|| panic!("slot {slot} can issue at cycle {cycle} inside a sleep"));
+            census.record(reason);
+            next_event = next_event.min(warp_hint.max(cycle + 1));
+        }
+        assert_eq!(census, sleep.census, "sleep census drifted at cycle {cycle}");
+        assert_eq!(next_event, hint, "sleep hint drifted at cycle {cycle}");
+        if cycle >= self.sched_block_until {
+            let mut sched = self.sched.clone();
+            let mut order = Vec::new();
+            sched.order_into(&self.age_order, &self.slot_asc, &mut order);
+            for &slot in &order {
+                let (reason, _) = self.check_issue_uncached(slot, env, &ports).expect("classified above");
+                assert!(
+                    !(is_long_latency(reason) && sched.note_memory_stall(slot)),
+                    "skipped walk would start a requeue penalty at cycle {cycle}"
+                );
+                sched.note_blocked(slot);
+            }
+            assert_eq!(sched, self.sched, "skipped walk would move the scheduler at cycle {cycle}");
+        }
+    }
+}
+
+/// Stalls that make GTO/TLV requeue the warp.
+fn is_long_latency(reason: StallReason) -> bool {
+    matches!(
+        reason,
+        StallReason::MemoryDependency | StallReason::MemoryThrottle | StallReason::Sync
+    )
 }
 
 impl Sm {
@@ -628,4 +786,101 @@ struct Ports {
     sp: u32,
     sfu: u32,
     ldst: u32,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::SchedulerPolicy;
+    use crate::decode::decode_program;
+    use tango_isa::KernelBuilder;
+
+    /// One visit of `sm` at `cycle` representing `weight` machine cycles.
+    fn visit(sm: &mut Sm, world: &mut World, cycle: u64, weight: u64) -> (bool, u64) {
+        let mut env = SmEnv {
+            cycle,
+            weight,
+            mem: &mut world.mem,
+            memsys: &mut world.memsys,
+            meter: &mut world.meter,
+            agg: &mut world.agg,
+            program: &world.program,
+            decoded: &world.decoded,
+            params: &world.params,
+            grid: Dim3::x(2),
+            block: Dim3::x(32),
+            line_bytes: 128,
+            rec: None,
+        };
+        sm.cycle(&mut env)
+    }
+
+    struct World {
+        mem: GlobalMemory,
+        memsys: MemorySystem,
+        meter: PowerMeter,
+        agg: LaunchAgg,
+        program: KernelProgram,
+        decoded: Vec<DecodedInst>,
+        params: Vec<u32>,
+    }
+
+    /// A kernel whose first use of its parameter waits out a cold
+    /// constant-cache fill: a long stall with a single resident warp.
+    fn world(config: &GpuConfig) -> World {
+        let mut b = KernelBuilder::new("param_use");
+        let base = b.load_param(0);
+        b.st_global(DType::U32, base, 0, base);
+        b.exit();
+        let program = b.build().unwrap();
+        let mut mem = GlobalMemory::new();
+        let buf = mem.alloc(128);
+        World {
+            mem,
+            memsys: MemorySystem::new(config),
+            meter: PowerMeter::new(config.power, config.clock_ghz, 4096),
+            agg: LaunchAgg::default(),
+            decoded: decode_program(&program),
+            program,
+            params: vec![buf],
+        }
+    }
+
+    #[test]
+    fn accept_cta_wakes_a_sleeping_sm_and_settles_the_skipped_span() {
+        let config = GpuConfig::gp102();
+        let mut world = world(&config);
+        let mut sm = Sm::new(&config, config.l1d, 2, 1, 1, Scheduler::new(SchedulerPolicy::Gto, 6));
+        sm.stall_cache[1] = (StallReason::ExecDependency, u64::MAX); // stale entry of an earlier tenant
+        sm.accept_cta((0, 0, 0), &world.program, Dim3::x(32), 0);
+
+        // Tick until the lone warp waits on its parameter and the SM sleeps.
+        let mut cycle = 0;
+        while sm.sleep.is_none() {
+            visit(&mut sm, &mut world, cycle, 1);
+            cycle += 1;
+            assert!(cycle < 100, "the cold parameter load never put the SM to sleep");
+        }
+        let from = cycle - 1;
+        let wake = sm.sleep.as_ref().unwrap().wake;
+        assert!(wake > from + 100, "a cold constant fill is a long sleep, got {from}..{wake}");
+        let const_dep = |w: &World| w.agg.stalls.count(StallReason::ConstantMemoryDependency);
+        let (before, issued) = (const_dep(&world), world.agg.warp_instructions);
+
+        // A visit inside the sleep touches nothing and repeats the hint.
+        assert_eq!(visit(&mut sm, &mut world, from + 3, 3), (true, wake));
+        assert_eq!((const_dep(&world), world.agg.warp_instructions), (before, issued));
+
+        // A new CTA is an event: its slot's stale stall is dropped, the
+        // next visit is a real one, and the 3 skipped cycles are charged to
+        // the sleeping warp's reason (this visit's 2 go to the sample debt,
+        // because the new warp issues).
+        sm.accept_cta((1, 0, 0), &world.program, Dim3::x(32), 0);
+        assert_eq!(sm.stall_cache[1], NO_STALL);
+        let (_, hint) = visit(&mut sm, &mut world, from + 5, 2);
+        assert_eq!(hint, from + 6);
+        assert!(sm.sleep.is_none());
+        assert_eq!(world.agg.warp_instructions, issued + 1);
+        assert_eq!(const_dep(&world), before + 3);
+    }
 }

@@ -127,6 +127,14 @@ impl StallBreakdown {
         }
     }
 
+    /// Adds `other` into this breakdown `weight` times over: a per-reason
+    /// warp census sampled with a weight of `weight` cycles.
+    pub(crate) fn merge_weighted(&mut self, other: &StallBreakdown, weight: u64) {
+        for i in 0..self.counts.len() {
+            self.counts[i] += other.counts[i] * weight;
+        }
+    }
+
     /// Scales all counts by `factor` (CTA sampling extrapolation).
     pub fn scale(&mut self, factor: f64) {
         for c in &mut self.counts {
@@ -139,8 +147,10 @@ impl StallBreakdown {
         StallReason::ALL.iter().map(|&r| (r, self.count(r)))
     }
 
+    /// Position in [`StallReason::ALL`], which lists the variants in
+    /// declaration order (pinned by a test in `decode.rs`).
     fn index(reason: StallReason) -> usize {
-        StallReason::ALL.iter().position(|&r| r == reason).expect("reason in ALL")
+        reason as usize
     }
 }
 
