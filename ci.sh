@@ -17,6 +17,28 @@ echo "== repro_all: cold pass (tiny preset, scratch store) =="
 SCRATCH="$(mktemp -d)"
 trap 'rm -rf "$SCRATCH"' EXIT
 
+HARNESS="cargo run --release -q -p tango-bench --bin harness --"
+
+# expect_exit2 <VAR=val...> -- <cmd...>: the command must exit 2 and
+# name the first variable it was given on stderr.
+expect_exit2() {
+    local vars=()
+    while [ "$1" != "--" ]; do vars+=("$1"); shift; done
+    shift
+    local status=0
+    env TANGO_PRESET=tiny TANGO_RESULTS_DIR="$SCRATCH" ${vars[@]+"${vars[@]}"} "$@" \
+        >/dev/null 2>"$SCRATCH/exit2.err" || status=$?
+    if [ "$status" -ne 2 ]; then
+        echo "FAIL: ${vars[*]-} $* exited $status, want 2" >&2
+        cat "$SCRATCH/exit2.err" >&2
+        exit 1
+    fi
+    if [ "${#vars[@]}" -gt 0 ] && ! grep -q "${vars[0]%%=*}" "$SCRATCH/exit2.err"; then
+        echo "FAIL: ${vars[*]} $*: error does not name ${vars[0]%%=*}" >&2
+        exit 1
+    fi
+}
+
 run_repro() {
     TANGO_PRESET=tiny TANGO_RESULTS_DIR="$SCRATCH" \
         cargo run --release -q -p tango-bench --bin repro_all 2>&1 >/dev/null |
@@ -58,11 +80,27 @@ for f in "$SCRATCH"/fig*.txt "$SCRATCH"/table*.txt; do
     fi
 done
 
+echo "== repro_all --only: one experiment alone equals the cold pass's; unknown ids exit 2 =="
+mkdir -p "$SCRATCH/only"
+TANGO_PRESET=tiny TANGO_RESULTS_DIR="$SCRATCH/only" \
+    cargo run --release -q -p tango-bench --bin repro_all -- --only fig07 >/dev/null 2>&1
+if ! cmp -s "$SCRATCH/fig07.txt" "$SCRATCH/only/fig07.txt"; then
+    echo "FAIL: repro_all --only fig07 differs from the full run's fig07.txt" >&2
+    exit 1
+fi
+expect_exit2 -- cargo run --release -q -p tango-bench --bin repro_all -- --only nope
+grep -q 'fig07' "$SCRATCH/exit2.err" || {
+    echo "FAIL: repro_all --only nope does not list the ids" >&2
+    exit 1
+}
+
+echo "== TANGO_PRESET: a typo must exit 2 =="
+expect_exit2 TANGO_PRESET=garbage -- cargo run --release -q -p tango-bench --bin repro_all
+
 echo "== harness trace: tracing must not change a single output byte =="
-TRACE_BIN="cargo run --release -q -p tango-cli --bin harness --"
-TANGO_PRESET=tiny $TRACE_BIN trace cifarnet > "$SCRATCH/untraced.out" 2>/dev/null
+TANGO_PRESET=tiny $HARNESS trace cifarnet > "$SCRATCH/untraced.out" 2>/dev/null
 TANGO_PRESET=tiny TANGO_TRACE="$SCRATCH/trace.json" \
-    $TRACE_BIN trace cifarnet > "$SCRATCH/traced.out" 2>"$SCRATCH/traced.err"
+    $HARNESS trace cifarnet > "$SCRATCH/traced.out" 2>"$SCRATCH/traced.err"
 if ! cmp -s "$SCRATCH/untraced.out" "$SCRATCH/traced.out"; then
     echo "FAIL: tracing changed the simulation report" >&2
     diff "$SCRATCH/untraced.out" "$SCRATCH/traced.out" >&2 || true
@@ -84,28 +122,19 @@ if command -v python3 >/dev/null 2>&1; then
 fi
 
 echo "== harness trace: bad TANGO_TRACE_CAP must exit 2 =="
-set +e
-TANGO_TRACE_CAP=0 $TRACE_BIN trace cifarnet >/dev/null 2>"$SCRATCH/cap.err"
-cap_status=$?
-set -e
-if [ "$cap_status" -ne 2 ]; then
-    echo "FAIL: TANGO_TRACE_CAP=0 exited $cap_status, want 2" >&2
-    cat "$SCRATCH/cap.err" >&2
-    exit 1
-fi
+expect_exit2 TANGO_TRACE_CAP=0 -- $HARNESS trace cifarnet
 
 echo "== harness lint: zero error-severity diagnostics, deterministic report =="
-LINT_BIN="cargo run --release -q -p tango-cli --bin harness --"
 # Exit code 1 here means an error-severity diagnostic in a suite kernel.
 TANGO_PRESET=tiny TANGO_RESULTS_DIR="$SCRATCH" \
-    $LINT_BIN lint --all > "$SCRATCH/lint1.out" 2>/dev/null
+    $HARNESS lint --all > "$SCRATCH/lint1.out" 2>/dev/null
 if ! cmp -s "$SCRATCH/lint1.out" "$SCRATCH/lint_report.txt"; then
     echo "FAIL: results/lint_report.txt diverges from lint stdout" >&2
     exit 1
 fi
 cp "$SCRATCH/lint_report.txt" "$SCRATCH/lint_report_run1.txt"
 TANGO_PRESET=tiny TANGO_RESULTS_DIR="$SCRATCH" \
-    $LINT_BIN lint --all > "$SCRATCH/lint2.out" 2>/dev/null
+    $HARNESS lint --all > "$SCRATCH/lint2.out" 2>/dev/null
 if ! cmp -s "$SCRATCH/lint_report_run1.txt" "$SCRATCH/lint_report.txt"; then
     echo "FAIL: lint_report.txt differs across identical runs" >&2
     diff "$SCRATCH/lint_report_run1.txt" "$SCRATCH/lint_report.txt" >&2 || true
@@ -115,8 +144,8 @@ fi
 echo "== harness store stats/gc (stale record must be dropped) =="
 # Inject a record written under schema version 1; gc must remove exactly it.
 printf 'TNGR\x01\x00\x00\x00stale' > "$SCRATCH/store/gru-00000000deadbeef.run"
-cargo run --release -q -p tango-cli --bin harness -- store stats --dir "$SCRATCH/store"
-gc_out=$(cargo run --release -q -p tango-cli --bin harness -- store gc --dir "$SCRATCH/store")
+$HARNESS store stats --dir "$SCRATCH/store"
+gc_out=$($HARNESS store gc --dir "$SCRATCH/store")
 echo "$gc_out"
 case "$gc_out" in
     "removed 1 stale record"*) ;;
@@ -131,12 +160,11 @@ TANGO_RESULTS_DIR="$SCRATCH" \
     cargo run --release -q -p tango-bench --bin serve_bench -- --smoke
 
 echo "== harness backends: byte-identical across reruns and worker counts =="
-BACKENDS_BIN="cargo run --release -q -p tango-cli --bin harness --"
 for net in cifarnet gru; do
     TANGO_PRESET=tiny TANGO_RESULTS_DIR="$SCRATCH" TANGO_JOBS=1 \
-        $BACKENDS_BIN backends "$net" > "$SCRATCH/backends_${net}_j1.out" 2>/dev/null
+        $HARNESS backends "$net" > "$SCRATCH/backends_${net}_j1.out" 2>/dev/null
     TANGO_PRESET=tiny TANGO_RESULTS_DIR="$SCRATCH" TANGO_JOBS=4 \
-        $BACKENDS_BIN backends "$net" > "$SCRATCH/backends_${net}_j4.out" 2>"$SCRATCH/backends_${net}_j4.err"
+        $HARNESS backends "$net" > "$SCRATCH/backends_${net}_j4.out" 2>"$SCRATCH/backends_${net}_j4.err"
     if ! cmp -s "$SCRATCH/backends_${net}_j1.out" "$SCRATCH/backends_${net}_j4.out"; then
         echo "FAIL: harness backends $net differs across TANGO_JOBS settings" >&2
         diff "$SCRATCH/backends_${net}_j1.out" "$SCRATCH/backends_${net}_j4.out" >&2 || true
@@ -156,28 +184,14 @@ for net in cifarnet gru; do
 done
 
 echo "== harness backends: garbage TANGO_BACKENDS must exit 2 =="
-set +e
-TANGO_PRESET=tiny TANGO_RESULTS_DIR="$SCRATCH" TANGO_BACKENDS=garbage \
-    $BACKENDS_BIN backends gru >/dev/null 2>"$SCRATCH/backends.err"
-backends_status=$?
-set -e
-if [ "$backends_status" -ne 2 ]; then
-    echo "FAIL: TANGO_BACKENDS=garbage exited $backends_status, want 2" >&2
-    cat "$SCRATCH/backends.err" >&2
-    exit 1
-fi
-grep -q 'TANGO_BACKENDS' "$SCRATCH/backends.err" || {
-    echo "FAIL: TANGO_BACKENDS error does not name the variable" >&2
-    exit 1
-}
+expect_exit2 TANGO_BACKENDS=garbage -- $HARNESS backends gru
 
 echo "== harness fleet --smoke: byte-identical across reruns and worker counts =="
-FLEET_BIN="cargo run --release -q -p tango-cli --bin harness --"
 TANGO_RESULTS_DIR="$SCRATCH" TANGO_JOBS=1 \
-    $FLEET_BIN fleet --smoke > "$SCRATCH/fleet_j1.out" 2>/dev/null
+    $HARNESS fleet --smoke > "$SCRATCH/fleet_j1.out" 2>/dev/null
 cp "$SCRATCH/fleet_bench.txt" "$SCRATCH/fleet_bench_j1.txt"
 TANGO_RESULTS_DIR="$SCRATCH" TANGO_JOBS=4 \
-    $FLEET_BIN fleet --smoke > "$SCRATCH/fleet_j4.out" 2>"$SCRATCH/fleet_j4.err"
+    $HARNESS fleet --smoke > "$SCRATCH/fleet_j4.out" 2>"$SCRATCH/fleet_j4.err"
 if ! cmp -s "$SCRATCH/fleet_j1.out" "$SCRATCH/fleet_j4.out"; then
     echo "FAIL: harness fleet differs across TANGO_JOBS settings" >&2
     diff "$SCRATCH/fleet_j1.out" "$SCRATCH/fleet_j4.out" >&2 || true
@@ -202,7 +216,7 @@ grep -q 'store hits=[0-9]* misses=0' "$SCRATCH/fleet_j4.err" || {
 echo "== metrics: collection must not change fleet_bench.txt by a byte =="
 cp "$SCRATCH/fleet_bench.txt" "$SCRATCH/fleet_bench_nometrics.txt"
 TANGO_RESULTS_DIR="$SCRATCH" TANGO_METRICS=1 TANGO_JOBS=1 \
-    $FLEET_BIN fleet --smoke > "$SCRATCH/fleet_metrics.out" 2>/dev/null
+    $HARNESS fleet --smoke > "$SCRATCH/fleet_metrics.out" 2>/dev/null
 if ! cmp -s "$SCRATCH/fleet_j1.out" "$SCRATCH/fleet_metrics.out"; then
     echo "FAIL: TANGO_METRICS=1 changed harness fleet stdout" >&2
     diff "$SCRATCH/fleet_j1.out" "$SCRATCH/fleet_metrics.out" >&2 || true
@@ -224,7 +238,7 @@ for f in metrics_fleet.txt metrics_fleet.jsonl metrics_fleet.prom; do
     cp "$SCRATCH/$f" "$SCRATCH/${f}.j1"
 done
 TANGO_RESULTS_DIR="$SCRATCH" TANGO_METRICS=1 TANGO_JOBS=4 \
-    $FLEET_BIN fleet --smoke >/dev/null 2>&1
+    $HARNESS fleet --smoke >/dev/null 2>&1
 for f in metrics_fleet.txt metrics_fleet.jsonl metrics_fleet.prom; do
     if ! cmp -s "$SCRATCH/${f}.j1" "$SCRATCH/$f"; then
         echo "FAIL: $f differs across TANGO_JOBS settings" >&2
@@ -242,26 +256,12 @@ grep -q 'ALERT' "$SCRATCH/metrics_fleet.txt" || {
 }
 
 echo "== metrics: garbage TANGO_METRICS / TANGO_METRICS_WINDOW must exit 2 =="
-for env_pair in "TANGO_METRICS=garbage" "TANGO_METRICS=1 TANGO_METRICS_WINDOW=0"; do
-    set +e
-    env $env_pair TANGO_RESULTS_DIR="$SCRATCH" \
-        $FLEET_BIN fleet --smoke >/dev/null 2>"$SCRATCH/metrics.err"
-    metrics_status=$?
-    set -e
-    if [ "$metrics_status" -ne 2 ]; then
-        echo "FAIL: $env_pair exited $metrics_status, want 2" >&2
-        cat "$SCRATCH/metrics.err" >&2
-        exit 1
-    fi
-    grep -q 'TANGO_METRICS' "$SCRATCH/metrics.err" || {
-        echo "FAIL: $env_pair error does not name the variable" >&2
-        exit 1
-    }
-done
+expect_exit2 TANGO_METRICS=garbage -- $HARNESS fleet --smoke
+expect_exit2 TANGO_METRICS_WINDOW=0 TANGO_METRICS=1 -- $HARNESS fleet --smoke
 
 echo "== harness metrics: deterministic windowed registry from one run =="
-TANGO_PRESET=tiny $FLEET_BIN metrics gru > "$SCRATCH/metrics1.out" 2>/dev/null
-TANGO_PRESET=tiny $FLEET_BIN metrics gru > "$SCRATCH/metrics2.out" 2>/dev/null
+TANGO_PRESET=tiny $HARNESS metrics gru > "$SCRATCH/metrics1.out" 2>/dev/null
+TANGO_PRESET=tiny $HARNESS metrics gru > "$SCRATCH/metrics2.out" 2>/dev/null
 if ! cmp -s "$SCRATCH/metrics1.out" "$SCRATCH/metrics2.out"; then
     echo "FAIL: harness metrics differs across identical runs" >&2
     diff "$SCRATCH/metrics1.out" "$SCRATCH/metrics2.out" >&2 || true
@@ -273,20 +273,7 @@ grep -q 'tango-metrics' "$SCRATCH/metrics1.out" || {
 }
 
 echo "== harness fleet: garbage TANGO_FLEET_REQUESTS must exit 2 =="
-set +e
-TANGO_RESULTS_DIR="$SCRATCH" TANGO_FLEET_REQUESTS=garbage \
-    $FLEET_BIN fleet --smoke >/dev/null 2>"$SCRATCH/fleet.err"
-fleet_status=$?
-set -e
-if [ "$fleet_status" -ne 2 ]; then
-    echo "FAIL: TANGO_FLEET_REQUESTS=garbage exited $fleet_status, want 2" >&2
-    cat "$SCRATCH/fleet.err" >&2
-    exit 1
-fi
-grep -q 'TANGO_FLEET_REQUESTS' "$SCRATCH/fleet.err" || {
-    echo "FAIL: TANGO_FLEET_REQUESTS error does not name the variable" >&2
-    exit 1
-}
+expect_exit2 TANGO_FLEET_REQUESTS=garbage -- $HARNESS fleet --smoke
 
 echo "== repo benchmark: digest gate (--smoke; tier 1 does not build this package) =="
 # Every workload at the tiny scale, each result checked against
@@ -308,20 +295,7 @@ for f in BENCH_sim.json BENCH_serve.json BENCH_fleet.json; do
 done
 
 echo "== bench_perf: bad TANGO_BENCH_SAMPLES must exit 2 =="
-set +e
-TANGO_PRESET=tiny TANGO_RESULTS_DIR="$SCRATCH" TANGO_BENCH_SAMPLES=garbage \
-    cargo run --release -q -p tango-bench --bin bench_perf >/dev/null 2>"$SCRATCH/samples.err"
-samples_status=$?
-set -e
-if [ "$samples_status" -ne 2 ]; then
-    echo "FAIL: TANGO_BENCH_SAMPLES=garbage exited $samples_status, want 2" >&2
-    cat "$SCRATCH/samples.err" >&2
-    exit 1
-fi
-grep -q 'TANGO_BENCH_SAMPLES' "$SCRATCH/samples.err" || {
-    echo "FAIL: TANGO_BENCH_SAMPLES error does not name the variable" >&2
-    exit 1
-}
+expect_exit2 TANGO_BENCH_SAMPLES=garbage -- cargo run --release -q -p tango-bench --bin bench_perf
 
 echo "== committed perf artifacts present =="
 for f in results/profile.txt results/BENCH_sim.json results/BENCH_serve.json results/BENCH_fleet.json results/bench_history.jsonl results/fleet_bench.txt; do
@@ -341,7 +315,7 @@ mkdir -p "$SCRATCH/perf"
 TANGO_RESULTS_DIR="$SCRATCH/perf" \
     cargo run --release -q -p tango-bench --bin bench_perf >/dev/null
 for f in BENCH_sim.json BENCH_serve.json BENCH_fleet.json; do
-    $FLEET_BIN perfdiff "results/$f" "$SCRATCH/perf/$f" > "$SCRATCH/perf/${f}.diff"
+    $HARNESS perfdiff "results/$f" "$SCRATCH/perf/$f" > "$SCRATCH/perf/${f}.diff"
     if grep -q '^WARN:' "$SCRATCH/perf/${f}.diff"; then
         echo "perf regression in $f — full attribution:"
         cat "$SCRATCH/perf/${f}.diff"

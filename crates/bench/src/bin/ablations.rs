@@ -5,8 +5,9 @@
 //! * the MSHR budget — the mechanism behind FC memory throttling (Fig 7);
 //! * CTA sampling — simulated-cycle stability across sampling factors.
 
+use std::process::ExitCode;
 use tango::report::{Matrix, Unit};
-use tango_bench::{emit, SEED};
+use tango_bench::{emit, CliError, Env, SEED};
 use tango_nets::{build_network, synthetic_input, NetworkKind, Preset};
 use tango_sim::{Gpu, GpuConfig, SchedulerPolicy, SimOptions, StallReason};
 
@@ -132,7 +133,8 @@ fn quantization_ablation() -> Matrix {
     m
 }
 
-fn main() {
+fn run() -> Result<ExitCode, CliError> {
+    Env::from_process()?;
     let text = format!(
         "{}\n{}\n{}\n{}",
         requeue_ablation(),
@@ -140,5 +142,10 @@ fn main() {
         sampling_ablation(),
         quantization_ablation()
     );
-    emit("ablations", &text);
+    emit("ablations.txt", &text)?;
+    Ok(ExitCode::SUCCESS)
+}
+
+fn main() -> ExitCode {
+    tango_bench::main(run)
 }

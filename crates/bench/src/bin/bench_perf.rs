@@ -32,11 +32,10 @@
 use std::process::ExitCode;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 use tango::{simulate_run, RunSpec};
-use tango_bench::{append_line, emit_file, preset_from_env, samples_from_env, store_handle, JsonObject, SEED};
-use tango_harness::workers_from_env;
-use tango_nets::NetworkKind;
+use tango_bench::{append_line, emit, store_handle, CliError, Env, JsonObject, SEED};
+use tango_nets::{NetworkKind, Preset};
 use tango_serve::{run_trace, ArrivalTrace, BatchPolicy, CostModel, ServeConfig, SimCostModel};
-use tango_sim::{memo_table_stats, GpuConfig, SimOptions};
+use tango_sim::{memo_env_enabled, memo_table_stats, GpuConfig, SimOptions};
 
 /// Default timed simulator passes per network (after the cold pass).
 const DEFAULT_TIMED_RUNS: u32 = 2;
@@ -45,18 +44,17 @@ const DISTINCT_INPUTS: u64 = 4;
 const REQUESTS: usize = 200;
 const MAX_BATCH: u32 = 8;
 
-/// What the launch-memo layer will do for this process, per the same
-/// env rule the simulator applies (`TANGO_SIM_MEMO=0` disables).
+/// What the launch-memo layer does in this process (`TANGO_SIM_MEMO=0`
+/// disables it).
 fn memo_mode() -> &'static str {
-    if std::env::var("TANGO_SIM_MEMO").is_ok_and(|v| v == "0") {
-        "off"
-    } else {
+    if memo_env_enabled() {
         "on"
+    } else {
+        "off"
     }
 }
 
-fn sim_leg(kinds: &[NetworkKind], timed_runs: u32) -> tango::Result<JsonObject> {
-    let preset = preset_from_env();
+fn sim_leg(kinds: &[NetworkKind], preset: Preset, timed_runs: u32) -> tango::Result<JsonObject> {
     let mut obj = JsonObject::new()
         .str("bench", "sim")
         .str("preset", &preset.to_string())
@@ -101,8 +99,7 @@ fn sim_leg(kinds: &[NetworkKind], timed_runs: u32) -> tango::Result<JsonObject> 
         .int("memo_table_bytes", memo_bytes as u64))
 }
 
-fn serve_leg(kinds: &[NetworkKind], workers: usize) -> tango_serve::Result<JsonObject> {
-    let preset = preset_from_env();
+fn serve_leg(kinds: &[NetworkKind], preset: Preset, workers: usize) -> tango_serve::Result<JsonObject> {
     let cost = SimCostModel::new(store_handle(), GpuConfig::gp102(), preset, SEED, SimOptions::new());
     cost.precompute(kinds, MAX_BATCH, workers)?;
 
@@ -206,11 +203,11 @@ fn fleet_leg() -> tango_serve::Result<JsonObject> {
 
 /// One `bench_history.jsonl` record: headline rates copied from the
 /// per-leg objects plus enough context to interpret them later.
-fn history_line(sim: &JsonObject, serve: &JsonObject, fleet: &JsonObject, timed_runs: u32) -> String {
+fn history_line(sim: &JsonObject, serve: &JsonObject, fleet: &JsonObject, preset: Preset, timed_runs: u32) -> String {
     let ts = SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_secs());
     let mut hist = JsonObject::new()
         .int("ts_unix", ts)
-        .str("preset", &preset_from_env().to_string())
+        .str("preset", &preset.to_string())
         .str("seed", &format!("{SEED:#x}"))
         .str("memo", memo_mode())
         .int("timed_runs", timed_runs as u64);
@@ -235,57 +232,28 @@ fn history_line(sim: &JsonObject, serve: &JsonObject, fleet: &JsonObject, timed_
     hist.render()
 }
 
-fn run() -> ExitCode {
-    let workers = match workers_from_env("TANGO_JOBS") {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let timed_runs = match samples_from_env(DEFAULT_TIMED_RUNS) {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
+fn run() -> Result<ExitCode, CliError> {
+    let env = Env::from_process()?;
+    let (preset, workers) = (env.preset, env.jobs);
+    let timed_runs = env.bench_samples.unwrap_or(DEFAULT_TIMED_RUNS);
     let kinds = [NetworkKind::CifarNet, NetworkKind::Gru];
 
     eprintln!("[perf] sim leg: 1 cold + {timed_runs} timed simulate_run passes per network (memo {})", memo_mode());
-    let sim = match sim_leg(&kinds, timed_runs) {
-        Ok(obj) => obj,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    emit_file("BENCH_sim.json", &sim.render());
+    let sim = sim_leg(&kinds, preset, timed_runs)?;
+    emit("BENCH_sim.json", &sim.render())?;
 
     eprintln!("[perf] serve leg: {REQUESTS} requests per network ({workers} precompute workers)");
-    let serve = match serve_leg(&kinds, workers) {
-        Ok(obj) => obj,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    emit_file("BENCH_serve.json", &serve.render());
+    let serve = serve_leg(&kinds, preset, workers)?;
+    emit("BENCH_serve.json", &serve.render())?;
 
     eprintln!("[perf] fleet leg: 3 policies over one diurnal trace (table costs, engine only)");
-    let fleet = match fleet_leg() {
-        Ok(obj) => obj,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    emit_file("BENCH_fleet.json", &fleet.render());
+    let fleet = fleet_leg()?;
+    emit("BENCH_fleet.json", &fleet.render())?;
 
-    append_line("bench_history.jsonl", &history_line(&sim, &serve, &fleet, timed_runs));
-    ExitCode::SUCCESS
+    append_line("bench_history.jsonl", &history_line(&sim, &serve, &fleet, preset, timed_runs))?;
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
-    run()
+    tango_bench::main(run)
 }

@@ -16,8 +16,7 @@
 //! arrival rates.
 
 use std::process::ExitCode;
-use tango_bench::{emit, preset_from_env, store_handle, write_result_file, SEED};
-use tango_harness::workers_from_env;
+use tango_bench::{emit, store_handle, write_artifact, CliError, Env, SEED};
 use tango_nets::{NetworkKind, Preset};
 use tango_serve::{run_trace, ArrivalTrace, BatchPolicy, CostModel, ServeConfig, ServeReport, SimCostModel};
 use tango_sim::{GpuConfig, SimOptions};
@@ -165,35 +164,12 @@ fn smoke(cost: &SimCostModel) -> tango_serve::Result<ExitCode> {
     Ok(if failed { ExitCode::FAILURE } else { ExitCode::SUCCESS })
 }
 
-fn run() -> tango_serve::Result<ExitCode> {
-    // Validate (and, with TANGO_TRACE set, arm) the flight recorder
-    // before any work; a bad TANGO_TRACE_CAP is a usage error.
-    let trace_path = match tango_obs::init_from_env() {
-        Ok(path) => path,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return Ok(ExitCode::from(2));
-        }
-    };
-    // Metrics export is opt-in via TANGO_METRICS; a malformed knob is a
-    // usage error, caught before any work.
-    let metrics = match tango_obs::metrics_from_env() {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return Ok(ExitCode::from(2));
-        }
-    };
+fn run() -> Result<ExitCode, CliError> {
+    let env = Env::from_process()?;
+    env.arm_trace();
     let smoke_mode = std::env::args().any(|a| a == "--smoke");
-    let workers = match workers_from_env("TANGO_SERVE_WORKERS") {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return Ok(ExitCode::from(2));
-        }
-    };
     // Smoke runs pin the tiny preset so CI stays bounded.
-    let preset = if smoke_mode { Preset::Tiny } else { preset_from_env() };
+    let preset = if smoke_mode { Preset::Tiny } else { env.preset };
     let cost = SimCostModel::new(
         store_handle(),
         GpuConfig::gp102(),
@@ -203,29 +179,27 @@ fn run() -> tango_serve::Result<ExitCode> {
     );
     if smoke_mode {
         let code = smoke(&cost)?;
-        write_trace(trace_path.as_deref());
+        env.finish_trace("serve")?;
         return Ok(code);
     }
 
     let kinds = [NetworkKind::CifarNet, NetworkKind::Gru];
     let batches = [1u32, 2, 4, 8];
     let max_batch = *batches.last().expect("nonempty");
-    eprintln!("[serve] precomputing batch costs ({} workers)", workers);
-    cost.precompute(&kinds, max_batch, workers)?;
+    eprintln!("[serve] precomputing batch costs ({} workers)", env.serve_workers);
+    cost.precompute(&kinds, max_batch, env.serve_workers)?;
     let queue_bound = 256;
     let rows = sweep(&cost, &kinds, &[0.25, 0.5, 1.0, 2.0, 4.0], &batches, 400, queue_bound)?;
-    emit("serve_bench", &render(&rows, preset, queue_bound));
-    if let Some(window_override) = metrics {
-        if let Some(code) = export_metrics(&rows, preset, max_batch, window_override) {
-            return Ok(code);
-        }
+    emit("serve_bench.txt", &render(&rows, preset, queue_bound))?;
+    if env.metrics {
+        export_metrics(&rows, preset, max_batch, env.metrics_window)?;
     }
     eprintln!(
         "[serve] store hits={} misses={}",
         cost.store().hits(),
         cost.store().misses()
     );
-    write_trace(trace_path.as_deref());
+    env.finish_trace("serve")?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -235,8 +209,8 @@ fn run() -> tango_serve::Result<ExitCode> {
 /// series), and `.prom` (Prometheus exposition, self-checked against
 /// the in-tree grammar validator). Purely derived from the already
 /// computed reports, so enabling it cannot change `serve_bench.txt`
-/// or stdout. Returns `Some(exit_code)` only on a self-check failure.
-fn export_metrics(rows: &[Row], preset: Preset, max_batch: u32, window_override: Option<u64>) -> Option<ExitCode> {
+/// or stdout.
+fn export_metrics(rows: &[Row], preset: Preset, max_batch: u32, window_override: Option<u64>) -> Result<(), CliError> {
     let selected: Vec<&Row> = rows.iter().filter(|r| r.rho == 4.0 && r.max_batch == max_batch).collect();
     let max_makespan = selected.iter().map(|r| r.report.makespan).max().unwrap_or(0);
     let window = window_override.unwrap_or((max_makespan / 64).max(1));
@@ -247,38 +221,15 @@ fn export_metrics(rows: &[Row], preset: Preset, max_batch: u32, window_override:
     }
     let title = format!("serve_bench preset {preset} rho 4.00 max_batch {max_batch}");
     let prom = registry.prometheus_text();
-    if let Err(e) = tango_obs::metrics::validate_exposition(&prom) {
-        eprintln!("error: metrics_serve.prom failed exposition self-check: {e}");
-        return Some(ExitCode::FAILURE);
-    }
-    write_result_file("metrics_serve.txt", &registry.render_text(&title));
-    write_result_file("metrics_serve.jsonl", &registry.snapshot_jsonl("serve"));
-    write_result_file("metrics_serve.prom", &prom);
+    tango_obs::metrics::validate_exposition(&prom)
+        .map_err(CliError::failed("metrics_serve.prom failed exposition self-check"))?;
+    write_artifact("metrics_serve.txt", &registry.render_text(&title))?;
+    write_artifact("metrics_serve.jsonl", &registry.snapshot_jsonl("serve"))?;
+    write_artifact("metrics_serve.prom", &prom)?;
     eprintln!("[serve] metrics: wrote results/metrics_serve.{{txt,jsonl,prom}} (window {window} cycles)");
-    None
-}
-
-/// Exports the flight recorder to `path` when tracing was requested.
-fn write_trace(path: Option<&std::path::Path>) {
-    let Some(path) = path else { return };
-    let trace = tango_obs::drain();
-    match tango_obs::write_chrome_file(path, &trace) {
-        Ok(()) => eprintln!(
-            "[serve] trace: wrote {} events to {} ({} dropped)",
-            trace.len(),
-            path.display(),
-            trace.dropped
-        ),
-        Err(e) => eprintln!("[serve] warning: {e}"),
-    }
+    Ok(())
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    tango_bench::main(run)
 }

@@ -2,17 +2,19 @@
 //! instructions, IPC, power, footprint) at the selected preset — the
 //! quick health check before diving into the per-figure binaries.
 
+use std::process::ExitCode;
 use tango::figures;
 use tango::report::{Matrix, Unit};
-use tango_bench::{characterizer, emit, preset_from_env};
+use tango_bench::{characterizer, emit, CliError, Env};
 
-fn main() {
-    let ch = characterizer();
-    eprintln!("[summary] preset={} config={}", preset_from_env(), ch.config().name);
-    let runs = figures::run_default_suite(&ch).expect("suite runs");
+fn run() -> Result<ExitCode, CliError> {
+    let preset = Env::from_process()?.preset;
+    let ch = characterizer(preset);
+    eprintln!("[summary] preset={preset} config={}", ch.config().name);
+    let runs = figures::run_default_suite(&ch)?;
 
     let mut m = Matrix::new(
-        format!("Suite summary ({}, {} preset)", ch.config().name, preset_from_env()),
+        format!("Suite summary ({}, {preset} preset)", ch.config().name),
         "Network",
         vec![
             "layers".into(),
@@ -41,5 +43,10 @@ fn main() {
             ],
         );
     }
-    emit("summary", &m.to_string());
+    emit("summary.txt", &m.to_string())?;
+    Ok(ExitCode::SUCCESS)
+}
+
+fn main() -> ExitCode {
+    tango_bench::main(run)
 }

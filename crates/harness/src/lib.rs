@@ -11,7 +11,7 @@
 //! * [`Suite`] — a deduplicating job scheduler that expands an
 //!   experiment plan ([`repro_plan`] covers all 16 figures and 4 tables)
 //!   and executes it across `TANGO_JOBS` worker threads
-//!   ([`jobs_from_env`]) against a shared store.
+//!   ([`worker_count`]) against a shared store.
 //!
 //! Because every simulation is deterministic, parallel execution is
 //! purely a wall-clock optimization: the figures produced from a store
@@ -34,4 +34,4 @@ pub use codec::{decode_backend, decode_build, decode_run, encode_backend, encode
 pub use hash::StableHasher;
 pub use key::{network_kind_code, network_kind_from_code, RecordKind, RunKey, STORE_SCHEMA_VERSION};
 pub use store::{results_root, GcReport, RunStore, StoreStats};
-pub use suite::{jobs_from_env, parse_worker_count, repro_plan, workers_from_env, Job, Suite, SuiteReport};
+pub use suite::{repro_plan, worker_count, Job, Suite, SuiteReport};

@@ -14,7 +14,7 @@
 
 use crate::codec::{
     decode_backend, decode_build, decode_run, encode_backend, encode_build, encode_run, probe_backend_code,
-    probe_record,
+    probe_record, DecodeError,
 };
 use crate::key::{RecordKind, RunKey, STORE_SCHEMA_VERSION};
 use std::collections::HashMap;
@@ -33,7 +33,7 @@ use tango_sim::SimOptions;
 /// from this crate's manifest location, so it does not depend on the
 /// process working directory).
 pub fn results_root() -> PathBuf {
-    if let Some(dir) = std::env::var_os("TANGO_RESULTS_DIR") {
+    if let Ok(Some(dir)) = tango_obs::env::RESULTS_DIR.raw() {
         return PathBuf::from(dir);
     }
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -144,6 +144,45 @@ impl RunStore {
         fs::read(self.path_for(key)).ok()
     }
 
+    /// A memory-cache hit for `digest`, counted.
+    fn cached<T: Clone>(&self, cache: &Mutex<HashMap<u64, T>>, digest: u64) -> Option<T> {
+        let hit = cache.lock().expect("store lock").get(&digest).cloned();
+        if hit.is_some() {
+            self.count(&self.hits, "hits");
+        }
+        hit
+    }
+
+    /// The fetch ladder shared by every record kind: memory, then disk
+    /// (an undecodable record is a miss), then `compute`, whose result
+    /// is persisted and cached. The flag is `true` on a cache hit.
+    fn fetch<T: Clone, E>(
+        &self,
+        cache: &Mutex<HashMap<u64, T>>,
+        key: &RunKey,
+        decode: impl FnOnce(&[u8]) -> std::result::Result<T, DecodeError>,
+        encode: impl FnOnce(&T) -> Vec<u8>,
+        compute: impl FnOnce() -> std::result::Result<T, E>,
+    ) -> std::result::Result<(T, bool), E> {
+        if let Some(value) = self.cached(cache, key.digest) {
+            return Ok((value, true));
+        }
+        let (value, was_hit) = match self.load(key).and_then(|bytes| decode(&bytes).ok()) {
+            Some(value) => {
+                self.count(&self.hits, "hits");
+                (value, true)
+            }
+            None => {
+                self.count(&self.misses, "misses");
+                let value = compute()?;
+                self.persist(key, &encode(&value));
+                (value, false)
+            }
+        };
+        cache.lock().expect("store lock").insert(key.digest, value.clone());
+        Ok((value, was_hit))
+    }
+
     /// Fetches (or simulates and caches) the run for `spec`. The flag is
     /// `true` when the result came from the cache.
     ///
@@ -153,20 +192,7 @@ impl RunStore {
     pub fn fetch_run(&self, spec: &RunSpec) -> Result<(NetworkRun, bool)> {
         let key = RunKey::for_run(spec);
         debug_assert_eq!(key.record, RecordKind::Run);
-        if let Some(run) = self.runs.lock().expect("store lock").get(&key.digest) {
-            self.count(&self.hits, "hits");
-            return Ok((run.clone(), true));
-        }
-        if let Some(run) = self.load(&key).and_then(|bytes| decode_run(&bytes).ok()) {
-            self.count(&self.hits, "hits");
-            self.runs.lock().expect("store lock").insert(key.digest, run.clone());
-            return Ok((run, true));
-        }
-        self.count(&self.misses, "misses");
-        let run = simulate_run(spec)?;
-        self.persist(&key, &encode_run(&run));
-        self.runs.lock().expect("store lock").insert(key.digest, run.clone());
-        Ok((run, false))
+        self.fetch(&self.runs, &key, decode_run, encode_run, || simulate_run(spec))
     }
 
     /// Fetches (or measures and caches) the build stats for `spec`. The
@@ -179,20 +205,7 @@ impl RunStore {
     pub fn fetch_build(&self, spec: &BuildSpec) -> Result<(BuildStats, bool)> {
         let key = RunKey::for_build(spec);
         debug_assert_eq!(key.record, RecordKind::Build);
-        if let Some(build) = self.builds.lock().expect("store lock").get(&key.digest) {
-            self.count(&self.hits, "hits");
-            return Ok((build.clone(), true));
-        }
-        if let Some(build) = self.load(&key).and_then(|bytes| decode_build(&bytes).ok()) {
-            self.count(&self.hits, "hits");
-            self.builds.lock().expect("store lock").insert(key.digest, build.clone());
-            return Ok((build, true));
-        }
-        self.count(&self.misses, "misses");
-        let build = measure_build(spec)?;
-        self.persist(&key, &encode_build(&build));
-        self.builds.lock().expect("store lock").insert(key.digest, build.clone());
-        Ok((build, false))
+        self.fetch(&self.builds, &key, decode_build, encode_build, || measure_build(spec))
     }
 
     /// Fetches (or executes and caches) the backend run for `spec`. The
@@ -211,43 +224,33 @@ impl RunStore {
     pub fn fetch_backend(&self, spec: &BackendRunSpec) -> std::result::Result<(BackendRun, bool), BackendError> {
         let key = RunKey::for_backend(spec);
         debug_assert_eq!(key.record, RecordKind::Backend);
-        if let Some(run) = self.backends.lock().expect("store lock").get(&key.digest) {
-            self.count(&self.hits, "hits");
-            return Ok((run.clone(), true));
-        }
-        if let BackendSpec::Gpu(config) = &spec.spec {
-            if spec.job.precision != Precision::Fp32 {
-                return Err(BackendError::Unsupported {
-                    backend: BackendKind::Gpu,
-                    reason: format!("{} weights (the SIMT kernel pipeline is fp32-only)", spec.job.precision),
-                });
-            }
-            let run_spec = RunSpec {
-                config: config.clone(),
-                preset: spec.job.preset,
-                seed: spec.job.seed,
-                kind: spec.job.kind,
-                options: SimOptions::new().with_batch(spec.job.batch.max(1)),
-            };
-            // fetch_run does its own hit/miss accounting and `.run`
-            // persistence; the conversion below is deterministic, so the
-            // derived BackendRun inherits the cache's replayability.
-            let (net_run, was_hit) = self.fetch_run(&run_spec).map_err(BackendError::Tango)?;
-            let lowered = LoweredNet::build(spec.job.kind, spec.job.preset, spec.job.seed)?;
-            let run = tango_backend::convert_gpu_run(&net_run, config, &lowered, spec.job.batch);
-            self.backends.lock().expect("store lock").insert(key.digest, run.clone());
-            return Ok((run, was_hit));
-        }
-        if let Some(run) = self.load(&key).and_then(|bytes| decode_backend(&bytes).ok()) {
-            self.count(&self.hits, "hits");
-            self.backends.lock().expect("store lock").insert(key.digest, run.clone());
+        let BackendSpec::Gpu(config) = &spec.spec else {
+            return self.fetch(&self.backends, &key, decode_backend, encode_backend, || run_backend(spec));
+        };
+        if let Some(run) = self.cached(&self.backends, key.digest) {
             return Ok((run, true));
         }
-        self.count(&self.misses, "misses");
-        let run = run_backend(spec)?;
-        self.persist(&key, &encode_backend(&run));
+        if spec.job.precision != Precision::Fp32 {
+            return Err(BackendError::Unsupported {
+                backend: BackendKind::Gpu,
+                reason: format!("{} weights (the SIMT kernel pipeline is fp32-only)", spec.job.precision),
+            });
+        }
+        let run_spec = RunSpec {
+            config: config.clone(),
+            preset: spec.job.preset,
+            seed: spec.job.seed,
+            kind: spec.job.kind,
+            options: SimOptions::new().with_batch(spec.job.batch.max(1)),
+        };
+        // fetch_run does its own hit/miss accounting and `.run`
+        // persistence; the conversion below is deterministic, so the
+        // derived BackendRun inherits the cache's replayability.
+        let (net_run, was_hit) = self.fetch_run(&run_spec).map_err(BackendError::Tango)?;
+        let lowered = LoweredNet::build(spec.job.kind, spec.job.preset, spec.job.seed)?;
+        let run = tango_backend::convert_gpu_run(&net_run, config, &lowered, spec.job.batch);
         self.backends.lock().expect("store lock").insert(key.digest, run.clone());
-        Ok((run, false))
+        Ok((run, was_hit))
     }
 }
 
@@ -421,23 +424,53 @@ mod tests {
         let _ = fs::remove_dir_all(&root);
     }
 
+    /// Overwrites the record behind `key` with garbage, then checks that
+    /// a fresh store recomputes `good` as a miss and rewrites the record
+    /// so the store after that hits.
+    fn corrupt_then_recover<T: PartialEq + std::fmt::Debug>(
+        root: &Path,
+        key: RunKey,
+        good: T,
+        fetch: impl Fn(&RunStore) -> (T, bool),
+    ) {
+        fs::write(root.join(key.file_name()), b"TNGRgarbage").unwrap();
+        let (recovered, was_hit) = fetch(&RunStore::at(root));
+        assert!(!was_hit, "corrupt {} must count as a miss", key.file_name());
+        assert_eq!(recovered, good);
+        let (again, was_hit) = fetch(&RunStore::at(root));
+        assert!(was_hit, "{} was not rewritten", key.file_name());
+        assert_eq!(again, good);
+    }
+
     #[test]
     fn corrupt_records_fall_back_to_simulation() {
+        use tango_backend::{BackendJob, SystolicConfig};
         let root = scratch("corrupt");
         let _ = fs::remove_dir_all(&root);
         let store = RunStore::at(&root);
-        let (good, _) = store.fetch_run(&spec()).unwrap();
-        let path = store.path_for(&RunKey::for_run(&spec()));
-        fs::write(&path, b"TNGRgarbage").unwrap();
+        let run = store.fetch_run(&spec()).unwrap().0;
+        corrupt_then_recover(&root, RunKey::for_run(&spec()), run, |s| s.fetch_run(&spec()).unwrap());
 
-        let reopened = RunStore::at(&root);
-        let (recovered, was_hit) = reopened.fetch_run(&spec()).unwrap();
-        assert!(!was_hit, "corrupt record must count as a miss");
-        assert_eq!(recovered, good);
-        // The bad record was rewritten with a valid one.
-        let (again, was_hit) = RunStore::at(&root).fetch_run(&spec()).unwrap();
-        assert!(was_hit);
-        assert_eq!(again, good);
+        let bspec = BuildSpec {
+            preset: Preset::Tiny,
+            seed: 21,
+            kind: NetworkKind::Gru,
+        };
+        let build = store.fetch_build(&bspec).unwrap().0;
+        corrupt_then_recover(&root, RunKey::for_build(&bspec), build, |s| s.fetch_build(&bspec).unwrap());
+
+        let aspec = BackendRunSpec {
+            spec: BackendSpec::Systolic(SystolicConfig::edge()),
+            job: BackendJob {
+                kind: NetworkKind::Gru,
+                preset: Preset::Tiny,
+                seed: 21,
+                batch: 1,
+                precision: Precision::Int8,
+            },
+        };
+        let acc = store.fetch_backend(&aspec).unwrap().0;
+        corrupt_then_recover(&root, RunKey::for_backend(&aspec), acc, |s| s.fetch_backend(&aspec).unwrap());
         let _ = fs::remove_dir_all(&root);
     }
 

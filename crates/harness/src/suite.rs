@@ -17,6 +17,7 @@ use std::sync::Mutex;
 use tango::{BuildSpec, Result, RunSpec, TangoError};
 use tango_backend::BackendRunSpec;
 use tango_nets::{NetworkKind, Preset};
+use tango_obs::env::{positive, Var};
 use tango_sim::{GpuConfig, SchedulerPolicy, SimOptions};
 
 /// One unit of work: a full simulated run, a build-only measurement, or
@@ -187,49 +188,18 @@ impl Suite {
     }
 }
 
-/// Parses a worker count a user typed into an env var. Unlike a silent
-/// `unwrap_or(default)`, a value that is present but unusable (`0`,
-/// `-1`, `lots`, an empty string) is an error naming the variable — a
-/// typo'd `TANGO_JOBS=O8` should stop the run, not quietly serialize it.
-///
-/// # Errors
-///
-/// Returns a human-readable message naming `name` and the offending
-/// value when `raw` is not a positive integer.
-pub fn parse_worker_count(name: &str, raw: &str) -> std::result::Result<usize, String> {
-    match raw.trim().parse::<usize>() {
-        Ok(0) => Err(format!("{name} must be a positive worker count, got 0 (unset it to use all cores)")),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!("{name} must be a positive worker count, got {raw:?}")),
-    }
-}
-
-/// Worker count from the env var `name`: unset means the machine's
-/// available parallelism (at least 1); a set value must parse as a
-/// positive integer.
-///
-/// # Errors
-///
-/// Returns the [`parse_worker_count`] message when the variable is set
-/// to `0` or garbage.
-pub fn workers_from_env(name: &str) -> std::result::Result<usize, String> {
-    match std::env::var(name) {
-        Ok(v) => parse_worker_count(name, &v),
-        Err(std::env::VarError::NotPresent) => Ok(std::thread::available_parallelism().map_or(1, |n| n.get())),
-        Err(std::env::VarError::NotUnicode(_)) => Err(format!("{name} is set to a non-UTF-8 value")),
-    }
-}
-
-/// Worker count from `TANGO_JOBS`, defaulting to the machine's available
+/// Worker count from `raw`, the text of `var` (`TANGO_JOBS` or
+/// `TANGO_SERVE_WORKERS`): unset means the machine's available
 /// parallelism (at least 1).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics with a clear message when `TANGO_JOBS` is set to `0` or does
-/// not parse; binaries that prefer an exit code should call
-/// [`workers_from_env`] themselves.
-pub fn jobs_from_env() -> usize {
-    workers_from_env("TANGO_JOBS").unwrap_or_else(|e| panic!("{e}"))
+/// A value that is present but unusable (`0`, `-1`, `lots`, an empty
+/// string) is an error naming the variable — a typo'd `TANGO_JOBS=O8`
+/// should stop the run, not quietly serialize it.
+pub fn worker_count(var: &Var, raw: Option<&str>) -> std::result::Result<usize, String> {
+    let all_cores = || std::thread::available_parallelism().map_or(1, |n| n.get());
+    Ok(var.parse(raw, positive)?.unwrap_or_else(all_cores))
 }
 
 /// The full experiment plan behind `repro_all`: every distinct
@@ -349,24 +319,16 @@ mod tests {
     }
 
     #[test]
-    fn jobs_env_parsing() {
-        // Only exercises the parse path indirectly safe cases: the
-        // function must always return at least 1.
-        assert!(jobs_from_env() >= 1);
-    }
-
-    #[test]
     fn worker_count_parsing_rejects_zero_and_garbage() {
-        assert_eq!(parse_worker_count("TANGO_JOBS", "4"), Ok(4));
-        assert_eq!(parse_worker_count("TANGO_JOBS", " 8 "), Ok(8));
-        let err = parse_worker_count("TANGO_JOBS", "0").unwrap_err();
-        assert!(err.contains("TANGO_JOBS") && err.contains('0'), "{err}");
-        for bad in ["", "lots", "-1", "3.5", "O8"] {
-            let err = parse_worker_count("TANGO_SERVE_WORKERS", bad).unwrap_err();
+        use tango_obs::env::{JOBS, SERVE_WORKERS};
+        assert_eq!(worker_count(&JOBS, Some("4")), Ok(4));
+        assert_eq!(worker_count(&JOBS, Some(" 8 ")), Ok(8));
+        for bad in ["0", "", "lots", "-1", "3.5", "O8"] {
+            let err = worker_count(&SERVE_WORKERS, Some(bad)).unwrap_err();
             assert!(err.contains("TANGO_SERVE_WORKERS"), "{err}");
             assert!(err.contains(&format!("{bad:?}")), "{err}");
         }
-        // Env-var wrapper: unset means available parallelism.
-        assert!(workers_from_env("TANGO_TEST_UNSET_WORKER_VAR").unwrap() >= 1);
+        // Unset means available parallelism.
+        assert!(worker_count(&JOBS, None).unwrap() >= 1);
     }
 }

@@ -3,7 +3,6 @@
 use crate::layer::{Layer, LayerRecord};
 use crate::{NetError, Result};
 use std::fmt;
-use std::sync::OnceLock;
 use tango_kernels::DeviceTensor;
 use tango_sim::{Gpu, SimOptions};
 use tango_tensor::Tensor;
@@ -282,9 +281,6 @@ impl Network {
         let _infer_span = tango_obs::vspan("net.infer", self.kind.name());
         let mut records = Vec::with_capacity(self.layers.len());
         for layer in &self.layers {
-            if trace_layers() {
-                eprintln!("[tango] running layer {}", layer.name);
-            }
             let _layer_span = tango_obs::vspan("net.layer", &layer.name);
             let stats = layer.run(gpu, opts);
             records.push(LayerRecord {
@@ -298,12 +294,6 @@ impl Network {
             records,
         })
     }
-}
-
-/// Whether `TANGO_TRACE_LAYERS` is set, sampled at first use.
-fn trace_layers() -> bool {
-    static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var_os("TANGO_TRACE_LAYERS").is_some())
 }
 
 impl fmt::Debug for Network {

@@ -34,9 +34,9 @@
 //! recording call starts with one relaxed atomic load and a branch, and
 //! no allocation, formatting, or locking happens unless tracing was
 //! enabled ([`enable`], usually via the `TANGO_TRACE` environment
-//! variable — see [`init_from_env`]). When enabled, each thread appends
-//! to its own bounded ring ([`parse_event_cap`] / `TANGO_TRACE_CAP`
-//! sets the bound); the newest events win, and the drop count is
+//! variable — see [`env`]). When enabled, each thread appends to its
+//! own bounded ring (`TANGO_TRACE_CAP` sets the bound); the newest
+//! events win, and the drop count is
 //! reported so a truncated trace is never mistaken for a complete one.
 //!
 //! # Example
@@ -63,7 +63,7 @@
 #![warn(missing_docs)]
 
 mod chrome;
-mod env;
+pub mod env;
 mod event;
 pub mod json;
 pub mod metrics;
@@ -71,10 +71,7 @@ mod recorder;
 mod summary;
 mod trace;
 
-pub use env::{
-    cap_from_env, init_from_env, metrics_enabled_from_env, metrics_from_env, metrics_window_from_env,
-    parse_event_cap, trace_path_from_env, write_chrome_file, DEFAULT_EVENT_CAP,
-};
+pub use env::{write_chrome_file, DEFAULT_EVENT_CAP};
 pub use event::{Domain, Event, Phase};
 pub use recorder::{
     advance_virtual, current_tid, disable, drain, emit, enable, engine_async_begin, engine_async_end,

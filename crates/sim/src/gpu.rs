@@ -334,7 +334,7 @@ impl Gpu {
 /// loop asks once per step.
 fn debug_hang() -> bool {
     static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var_os("TANGO_DEBUG_HANG").is_some())
+    *FLAG.get_or_init(|| !matches!(tango_obs::env::DEBUG_HANG.raw(), Ok(None)))
 }
 
 /// Whether a [`LaunchFrame`] still has work left.

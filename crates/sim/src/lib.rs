@@ -61,7 +61,7 @@ pub use cache::Cache;
 pub use config::{CacheGeometry, GpuConfig, PowerConstants, SchedulerPolicy, SimOptions};
 pub use gpu::{Gpu, LaunchFrame, StepStatus};
 pub use mem::GlobalMemory;
-pub use memo::table_stats as memo_table_stats;
+pub use memo::{env_enabled as memo_env_enabled, table_stats as memo_table_stats};
 pub use memsys::{MemResponse, MemorySystem};
 pub use power::{Component, EnergyBreakdown, PowerMeter};
 pub use stats::{CacheStats, KernelStats, StallBreakdown, StallReason};

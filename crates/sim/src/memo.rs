@@ -95,10 +95,11 @@ impl std::fmt::Write for SigHasher {
     }
 }
 
-/// Whether `TANGO_SIM_MEMO` enables the memo (anything but `"0"` does).
-fn env_enabled() -> bool {
+/// Whether `TANGO_SIM_MEMO` enables the memo (anything but `"0"` does),
+/// sampled at first use.
+pub fn env_enabled() -> bool {
     static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var("TANGO_SIM_MEMO").map_or(true, |v| v != "0"))
+    *FLAG.get_or_init(|| tango_obs::env::SIM_MEMO.raw().map_or(true, |v| v.as_deref() != Some("0")))
 }
 
 /// Resolves whether a launch may use the memo: the per-launch option wins
