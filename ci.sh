@@ -10,6 +10,13 @@ cargo build --release
 echo "== tier 1: tests =="
 cargo test -q
 
+echo "== tango-sim tests at the release opt-level =="
+# The interpreter's full-mask lane loops vectorise only there, and its
+# debug-build oracles (kernel == alu per lane, warp == per-lane bounds
+# test, stall cache, sleep, in-place walk) are compiled out: the goldens
+# and the (op, dtype) table must hold without them.
+cargo test --release -q -p tango-sim
+
 echo "== clippy: workspace must be warning-free =="
 cargo clippy --workspace --all-targets -- -D warnings
 

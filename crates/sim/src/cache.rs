@@ -17,6 +17,9 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     geometry: CacheGeometry,
+    /// `geometry.num_sets()` and `geometry.assoc`, read on every access.
+    num_sets: u32,
+    assoc: usize,
     allocate_on_write: bool,
     sets: Vec<Line>,
     tick: u64,
@@ -29,6 +32,8 @@ impl Cache {
         let lines = (geometry.num_sets() * geometry.assoc) as usize;
         Cache {
             geometry,
+            num_sets: geometry.num_sets(),
+            assoc: geometry.assoc as usize,
             allocate_on_write,
             sets: vec![
                 Line {
@@ -69,10 +74,8 @@ impl Cache {
     pub fn access(&mut self, line_addr: u32, write: bool) -> bool {
         self.tick += 1;
         self.stats.accesses += 1;
-        let num_sets = self.geometry.num_sets();
-        let set = (line_addr % num_sets) as usize;
-        let assoc = self.geometry.assoc as usize;
-        let ways = &mut self.sets[set * assoc..(set + 1) * assoc];
+        let set = (line_addr % self.num_sets) as usize;
+        let ways = &mut self.sets[set * self.assoc..(set + 1) * self.assoc];
 
         for way in ways.iter_mut() {
             if way.valid && way.tag == line_addr {

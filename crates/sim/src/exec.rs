@@ -6,14 +6,36 @@
 //! of a simulated kernel is bit-comparable against the `tango-tensor`
 //! reference operators. Timing (latencies, cache behaviour) is layered on
 //! top by `sm.rs`.
+//!
+//! [`execute`] reads one decoded micro-op, matches its [`LaneKernel`] once,
+//! and runs a lane loop that holds no per-lane dispatch: source operands
+//! are gathered into 32-lane rows up front, and each arithmetic kernel is
+//! its own monomorphised loop over those rows. [`alu`] is the one
+//! definition of what every `(op, dtype)` pair computes: the loop for the
+//! pairs without a kernel of their own, and the reference the others are
+//! checked against (per lane in debug builds, exhaustively in the tests).
 
+use crate::decode::{DecodedInst, LaneKernel, Src};
 use crate::mem::GlobalMemory;
 use crate::memo::MemoRecorder;
-use tango_isa::{AddrSpace, CmpOp, DType, Dim3, Instruction, KernelProgram, Opcode, Operand, Special};
+use tango_isa::{CmpOp, DType, Dim3, Opcode};
 
 /// Reconvergence value meaning "no reconvergence point" (the base stack
 /// entry).
 const NO_RECONV: u32 = u32::MAX;
+
+/// One value per lane of a warp.
+pub(crate) type Row = [u32; 32];
+
+/// The special registers a lane can read that are not launch-uniform.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Ids<'a> {
+    /// Each lane's `tid.x`, `tid.y`, `tid.z` (the warp's entry of
+    /// [`tid_rows`]).
+    pub tid: &'a [Row; 3],
+    /// `ctaid.{x,y,z}` of the warp's CTA.
+    pub cta: [u32; 3],
+}
 
 /// What kind of result a pending register write is waiting on, for stall
 /// classification.
@@ -70,8 +92,10 @@ pub(crate) struct Warp {
 }
 
 impl Warp {
-    /// Creates a warp whose initial mask covers `active_lanes` lanes.
-    pub fn new(cta_slot: usize, warp_in_cta: u32, active_lanes: u32, reg_count: u32, pred_count: u32) -> Self {
+    /// Creates warp `warp_in_cta` of a CTA of `block` threads; its initial
+    /// mask covers the lanes that fall inside the block.
+    pub fn new(cta_slot: usize, warp_in_cta: u32, block: Dim3, reg_count: u32, pred_count: u32) -> Self {
+        let active_lanes = (block.count() as u32 - warp_in_cta * 32).min(32);
         let mask = if active_lanes >= 32 {
             u32::MAX
         } else {
@@ -127,6 +151,25 @@ impl Warp {
             }
         }
     }
+
+    /// The 32 lanes of register row `base` (`reg * 32`).
+    fn row_mut(&mut self, base: usize) -> &mut Row {
+        (&mut self.regs[base..base + 32]).try_into().expect("a register row is 32 lanes")
+    }
+
+    /// Gathers one source operand for all 32 lanes.
+    #[inline(always)]
+    fn row(&self, src: Src, ids: Ids<'_>) -> Row {
+        match src {
+            Src::Reg(base) => {
+                let base = usize::from(base);
+                self.regs[base..base + 32].try_into().expect("a register row is 32 lanes")
+            }
+            Src::Imm(v) => [v; 32],
+            Src::Tid(axis) => ids.tid[usize::from(axis)],
+            Src::CtaId(axis) => [ids.cta[usize::from(axis)]; 32],
+        }
+    }
 }
 
 /// Per-CTA execution context handed to the interpreter.
@@ -134,31 +177,22 @@ pub(crate) struct ExecCtx<'a> {
     pub mem: &'a mut GlobalMemory,
     pub smem: &'a mut [u8],
     pub params: &'a [u32],
-    pub block: Dim3,
-    pub grid: Dim3,
-    pub cta: (u32, u32, u32),
+    pub ids: Ids<'a>,
     pub line_bytes: u32,
-    /// Reused line-coalescing buffer (avoids a per-memory-instruction
-    /// allocation); the interpreter takes it, fills it, and hands it back
-    /// through [`ExecOutcome::global_lines`].
-    pub lines_scratch: &'a mut Vec<u32>,
+    /// Receives the unique global-memory line addresses a global `ld`/`st`
+    /// touches, in order of first appearance (the SM's reused buffer).
+    pub lines: &'a mut Vec<u32>,
     /// Launch memo recorder, when this launch is being recorded.
     pub rec: Option<&'a mut MemoRecorder>,
 }
 
 /// Micro-architecturally relevant facts about one executed warp-instruction.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ExecOutcome {
     /// Lanes that actually executed (after guard masking).
     pub exec_lanes: u32,
-    /// Unique global-memory line addresses touched.
-    pub global_lines: Vec<u32>,
-    /// Whether the global access was a store.
-    pub global_is_store: bool,
     /// Shared-memory accesses performed (lane granularity).
     pub shared_accesses: u32,
-    /// Whether constant memory was read.
-    pub const_access: bool,
     /// Whether the pc was redirected (taken branch — costs a fetch bubble).
     pub redirect: bool,
     /// Whether the warp arrived at a barrier.
@@ -175,54 +209,40 @@ fn lane_thread_coords(warp_in_cta: u32, lane: u32, block: Dim3) -> (u32, u32, u3
     (tx, ty, tz)
 }
 
-/// One operand pre-resolved per warp-instruction: everything warp-uniform
-/// (immediates, CTA coordinates, grid/block dimensions) folds to a constant
-/// up front, so the 32-lane loop only distinguishes register reads from
-/// constants instead of re-matching the full operand enum per lane.
-#[derive(Clone, Copy)]
-enum LaneSrc {
-    /// Missing operand (reads as zero, matching the old `Option` chain).
-    Zero,
-    /// Register file read; payload is `reg * 32`.
-    Reg(usize),
-    /// Warp-uniform constant.
-    Imm(u32),
-    TidX,
-    TidY,
-    TidZ,
+/// The `tid.{x,y,z}` lane vectors of every warp of a CTA of `block`
+/// threads, indexed by `warp_in_cta`: computed once per launch, so reading
+/// `tid.*` costs no divisions.
+pub(crate) fn tid_rows(block: Dim3) -> Vec<[Row; 3]> {
+    let warps = (block.count() as u32).div_ceil(32);
+    (0..warps)
+        .map(|warp_in_cta| {
+            let mut tid = [[0; 32]; 3];
+            for lane in 0..32 {
+                let (x, y, z) = lane_thread_coords(warp_in_cta, lane, block);
+                for (row, coord) in tid.iter_mut().zip([x, y, z]) {
+                    row[lane as usize] = coord;
+                }
+            }
+            tid
+        })
+        .collect()
 }
 
-fn resolve(op: Option<&Operand>, ctx: &ExecCtx<'_>) -> LaneSrc {
-    match op {
-        None => LaneSrc::Zero,
-        Some(Operand::Reg(r)) => LaneSrc::Reg(r.0 as usize * 32),
-        Some(Operand::Imm(bits)) => LaneSrc::Imm(*bits),
-        Some(Operand::Special(s)) => match s {
-            Special::TidX => LaneSrc::TidX,
-            Special::TidY => LaneSrc::TidY,
-            Special::TidZ => LaneSrc::TidZ,
-            Special::CtaIdX => LaneSrc::Imm(ctx.cta.0),
-            Special::CtaIdY => LaneSrc::Imm(ctx.cta.1),
-            Special::CtaIdZ => LaneSrc::Imm(ctx.cta.2),
-            Special::NTidX => LaneSrc::Imm(ctx.block.x),
-            Special::NTidY => LaneSrc::Imm(ctx.block.y),
-            Special::NTidZ => LaneSrc::Imm(ctx.block.z),
-            Special::NCtaIdX => LaneSrc::Imm(ctx.grid.x),
-            Special::NCtaIdY => LaneSrc::Imm(ctx.grid.y),
-            Special::NCtaIdZ => LaneSrc::Imm(ctx.grid.z),
-        },
-    }
-}
-
+/// Calls `f` for each lane set in `mask`, in ascending lane order. A full
+/// mask is a plain counted loop, which is what lets the arithmetic kernels
+/// vectorise.
 #[inline(always)]
-fn fetch(src: LaneSrc, regs: &[u32], warp_in_cta: u32, lane: u32, block: Dim3) -> u32 {
-    match src {
-        LaneSrc::Zero => 0,
-        LaneSrc::Reg(base) => regs[base + lane as usize],
-        LaneSrc::Imm(v) => v,
-        LaneSrc::TidX => lane_thread_coords(warp_in_cta, lane, block).0,
-        LaneSrc::TidY => lane_thread_coords(warp_in_cta, lane, block).1,
-        LaneSrc::TidZ => lane_thread_coords(warp_in_cta, lane, block).2,
+fn for_lanes(mask: u32, mut f: impl FnMut(usize)) {
+    if mask == u32::MAX {
+        for lane in 0..32 {
+            f(lane);
+        }
+    } else {
+        let mut m = mask;
+        while m != 0 {
+            f(m.trailing_zeros() as usize);
+            m &= m - 1;
+        }
     }
 }
 
@@ -316,41 +336,211 @@ fn alu(op: Opcode, dtype: DType, a: u32, b: u32, c: u32, cmp: Option<CmpOp>, src
     }
 }
 
+/// The lane loop of a value-producing micro-op: `dst[lane] = f(a, b, c)`
+/// over the lanes in `mask`. In debug builds every lane is checked against
+/// [`alu`].
+#[inline(always)]
+fn lanes(warp: &mut Warp, d: &DecodedInst, mask: u32, ids: Ids<'_>, f: impl Fn(u32, u32, u32) -> u32) {
+    let (a, b, c) = (warp.row(d.srcs[0], ids), warp.row(d.srcs[1], ids), warp.row(d.srcs[2], ids));
+    let dst = warp.row_mut(d.dst_base().expect("value-producing micro-op has a destination"));
+    for_lanes(mask, |lane| {
+        let v = f(a[lane], b[lane], c[lane]);
+        debug_assert_eq!(
+            v,
+            alu(d.op, d.dtype, a[lane], b[lane], c[lane], d.cmp, d.src_dtype),
+            "{:?} kernel of {}.{} diverged from alu in lane {lane}",
+            d.kernel,
+            d.op,
+            d.dtype
+        );
+        dst[lane] = v;
+    });
+}
+
+/// [`lanes`] for an integer expression, narrowed as `alu` narrows: `u16`
+/// keeps the low half, `s16` sign-extends it, every other type is 32 bits.
+macro_rules! int_lanes {
+    ($warp:expr, $d:expr, $mask:expr, $ids:expr, |$a:ident, $b:ident, $c:ident| $value:expr) => {
+        match $d.dtype {
+            DType::U16 => lanes($warp, $d, $mask, $ids, |$a, $b, $c| $value & 0xFFFF),
+            DType::S16 => lanes($warp, $d, $mask, $ids, |$a, $b, $c| (($value as i32) << 16 >> 16) as u32),
+            _ => lanes($warp, $d, $mask, $ids, |$a, $b, $c| $value),
+        }
+    };
+}
+
+/// The lane loop of `set` for one comparison `test`: writes the 0/1 result
+/// to the destination register and/or the lane's bit of the destination
+/// predicate.
+#[inline(always)]
+fn set_lanes(warp: &mut Warp, d: &DecodedInst, mask: u32, ids: Ids<'_>, test: impl Fn(u32, u32) -> bool) {
+    let (a, b) = (warp.row(d.srcs[0], ids), warp.row(d.srcs[1], ids));
+    let mut hit: Row = [0; 32];
+    for_lanes(mask, |lane| {
+        hit[lane] = test(a[lane], b[lane]) as u32;
+        debug_assert_eq!(
+            hit[lane],
+            alu(Opcode::Set, d.dtype, a[lane], b[lane], 0, d.cmp, None),
+            "set.{:?}.{} diverged from alu in lane {lane}",
+            d.cmp,
+            d.dtype
+        );
+    });
+    if let Some(base) = d.dst_base() {
+        let dst = warp.row_mut(base);
+        for_lanes(mask, |lane| dst[lane] = hit[lane]);
+    }
+    if let Some(p) = d.pdst {
+        let bits = hit.iter().enumerate().fold(0, |bits, (lane, &h)| bits | h << lane);
+        let pred = &mut warp.preds[p as usize];
+        *pred = (*pred & !mask) | bits;
+    }
+}
+
+/// [`set_lanes`] with operands viewed as `T`, one loop per comparison.
+#[inline(always)]
+fn set_as<T: PartialOrd>(warp: &mut Warp, d: &DecodedInst, mask: u32, ids: Ids<'_>, view: impl Fn(u32) -> T) {
+    match d.cmp.expect("validated set has cmp") {
+        CmpOp::Lt => set_lanes(warp, d, mask, ids, |a, b| view(a) < view(b)),
+        CmpOp::Le => set_lanes(warp, d, mask, ids, |a, b| view(a) <= view(b)),
+        CmpOp::Gt => set_lanes(warp, d, mask, ids, |a, b| view(a) > view(b)),
+        CmpOp::Ge => set_lanes(warp, d, mask, ids, |a, b| view(a) >= view(b)),
+        CmpOp::Eq => set_lanes(warp, d, mask, ids, |a, b| view(a) == view(b)),
+        CmpOp::Ne => set_lanes(warp, d, mask, ids, |a, b| view(a) != view(b)),
+    }
+}
+
+/// Each lane's `ld`/`st` address: the address operand plus the offset.
+#[inline(always)]
+fn addr_row(warp: &Warp, d: &DecodedInst, ids: Ids<'_>) -> Row {
+    let mut addrs = warp.row(d.srcs[0], ids);
+    for addr in &mut addrs {
+        *addr = addr.wrapping_add(d.offset);
+    }
+    addrs
+}
+
+/// Whether one bounds test covers every lane of a global access, so its
+/// lanes can skip theirs. When it does not, the access takes the checked
+/// accessors and dies in the first offending lane exactly as it always has.
+fn global_access_in_bounds(mem: &GlobalMemory, addrs: &Row, mask: u32, wide: bool) -> bool {
+    let bytes = if wide { 4 } else { 2 };
+    let (mut lo, mut hi) = (u32::MAX, 0);
+    for_lanes(mask, |lane| {
+        lo = lo.min(addrs[lane]);
+        hi = hi.max(addrs[lane]);
+    });
+    let covered = mem.in_bounds(lo, hi, bytes);
+    if cfg!(debug_assertions) && mask != 0 {
+        let mut each = true;
+        for_lanes(mask, |lane| each &= mem.in_bounds(addrs[lane], addrs[lane], bytes));
+        assert_eq!(covered, each, "warp bounds test [{lo:#x}, {hi:#x}] disagrees with the per-lane checks");
+    }
+    covered
+}
+
+/// The unique lines of one global access, in order of first appearance
+/// (which is the order the caches see them).
+struct LineSet<'a> {
+    lines: &'a mut Vec<u32>,
+    line_bytes: u32,
+    /// First byte and length of the line touched last (empty before any).
+    last_start: u32,
+    last_len: u32,
+}
+
+impl<'a> LineSet<'a> {
+    fn new(lines: &'a mut Vec<u32>, line_bytes: u32) -> Self {
+        lines.clear();
+        LineSet {
+            lines,
+            line_bytes,
+            last_start: 0,
+            last_len: 0,
+        }
+    }
+
+    /// Coalesced lanes fall in the line the previous lane touched; only a
+    /// lane that leaves it pays the division and the scan.
+    #[inline(always)]
+    fn touch(&mut self, addr: u32) {
+        if addr.wrapping_sub(self.last_start) < self.last_len {
+            return;
+        }
+        let line = addr / self.line_bytes;
+        if !self.lines.contains(&line) {
+            self.lines.push(line);
+        }
+        self.last_start = line * self.line_bytes;
+        self.last_len = self.line_bytes;
+    }
+}
+
+#[inline(always)]
+fn ld_global(warp: &mut Warp, d: &DecodedInst, mask: u32, addrs: &Row, ctx: &mut ExecCtx<'_>, read: impl Fn(&GlobalMemory, u32) -> u32) {
+    let mut lines = LineSet::new(ctx.lines, ctx.line_bytes);
+    let dst = warp.row_mut(d.dst_base().expect("validated ld has dst"));
+    for_lanes(mask, |lane| {
+        let addr = addrs[lane];
+        let v = read(ctx.mem, addr);
+        if let Some(r) = ctx.rec.as_deref_mut() {
+            r.on_global_read(addr, d.wide, v);
+        }
+        dst[lane] = v;
+        lines.touch(addr);
+    });
+}
+
+#[inline(always)]
+fn st_global(d: &DecodedInst, mask: u32, addrs: &Row, values: &Row, ctx: &mut ExecCtx<'_>, write: impl Fn(&mut GlobalMemory, u32, u32)) {
+    let mut lines = LineSet::new(ctx.lines, ctx.line_bytes);
+    for_lanes(mask, |lane| {
+        let (addr, value) = (addrs[lane], values[lane]);
+        write(ctx.mem, addr, value);
+        if let Some(r) = ctx.rec.as_deref_mut() {
+            r.on_global_write(addr, d.wide, value);
+        }
+        lines.touch(addr);
+    });
+}
+
 /// Executes one warp-instruction functionally and updates the warp's
 /// control state. Returns the outcome facts the SM needs for timing,
-/// caching, and power accounting.
+/// caching, and power accounting; a global `ld`/`st` also leaves the lines
+/// it touched in `ctx.lines`.
 ///
 /// # Panics
 ///
 /// Panics if a lane computes a global address outside every allocation —
 /// that is a generated-kernel bug and aborting with the kernel state is the
 /// most debuggable behaviour.
-pub(crate) fn execute(warp: &mut Warp, program: &KernelProgram, ctx: &mut ExecCtx<'_>) -> ExecOutcome {
+pub(crate) fn execute(warp: &mut Warp, d: &DecodedInst, ctx: &mut ExecCtx<'_>) -> ExecOutcome {
     let top = *warp.top();
     let pc = top.pc;
-    let inst: &Instruction = &program.instructions()[pc as usize];
+    let ids = ctx.ids;
     let mut out = ExecOutcome::default();
 
     // Guard evaluation (for non-branch ops it masks lanes; for branches it
     // is the branch condition).
-    let guard_mask = match inst.guard {
+    let guard_mask = match d.guard {
         None => top.mask,
         Some((p, sense)) => {
-            let bits = warp.preds[p.0 as usize];
+            let bits = warp.preds[p as usize];
             let m = if sense { bits } else { !bits };
             top.mask & m
         }
     };
+    out.exec_lanes = guard_mask.count_ones();
+    let mut next_pc = Some(pc + 1);
 
-    match inst.op {
-        Opcode::Bra => {
+    match d.kernel {
+        LaneKernel::Bra => {
             let taken = guard_mask;
             out.exec_lanes = top.mask.count_ones();
-            let target = inst.target.expect("validated bra has target");
             if taken == 0 {
-                warp.top_mut().pc += 1;
+                // Falls through.
             } else if taken == top.mask {
-                warp.top_mut().pc = target;
+                next_pc = Some(d.target);
                 out.redirect = true;
             } else {
                 // Divergence: split into fall-through and taken paths that
@@ -365,34 +555,30 @@ pub(crate) fn execute(warp: &mut Warp, program: &KernelProgram, ctx: &mut ExecCt
                 });
                 warp.stack.push(StackEntry {
                     mask: taken,
-                    pc: target,
+                    pc: d.target,
                     reconv,
                 });
+                next_pc = None;
                 out.redirect = true;
             }
         }
-        Opcode::Ssy => {
-            warp.pending_reconv = inst.target.expect("validated ssy has target");
-            warp.top_mut().pc += 1;
+        LaneKernel::Ssy => {
+            warp.pending_reconv = d.target;
             out.exec_lanes = top.mask.count_ones();
         }
-        Opcode::Bar => {
+        LaneKernel::Bar => {
             warp.at_barrier = true;
-            warp.top_mut().pc += 1;
             out.did_barrier = true;
             out.exec_lanes = top.mask.count_ones();
         }
-        Opcode::Exit => {
+        LaneKernel::Exit => {
             let exited = guard_mask;
-            out.exec_lanes = exited.count_ones();
             for entry in &mut warp.stack {
                 entry.mask &= !exited;
             }
-            if inst.guard.is_some() && guard_mask != top.mask {
-                // Some lanes continue.
-                warp.top_mut().pc += 1;
-            } else {
+            if d.guard.is_none() || guard_mask == top.mask {
                 // Whole active path exited; unwind to a live entry.
+                next_pc = None;
                 while warp.stack.len() > 1 && warp.top().mask == 0 {
                     warp.stack.pop();
                 }
@@ -402,183 +588,92 @@ pub(crate) fn execute(warp: &mut Warp, program: &KernelProgram, ctx: &mut ExecCt
                 out.warp_finished = true;
             }
         }
-        Opcode::Nop | Opcode::Callp | Opcode::Retp => {
-            out.exec_lanes = guard_mask.count_ones().max(1);
-            warp.top_mut().pc += 1;
+        LaneKernel::Nop => out.exec_lanes = guard_mask.count_ones().max(1),
+        LaneKernel::NoDst => {}
+        LaneKernel::LdConst => {
+            let addrs = addr_row(warp, d, ids);
+            let dst = warp.row_mut(d.dst_base().expect("validated ld has dst"));
+            for_lanes(guard_mask, |lane| {
+                dst[lane] = ctx.params.get((addrs[lane] / 4) as usize).copied().unwrap_or(0);
+            });
         }
-        Opcode::Ld => {
-            let space = inst.space.expect("validated ld has space");
-            let dst = inst.dst.expect("validated ld has dst");
-            out.exec_lanes = guard_mask.count_ones();
-            let base = resolve(inst.srcs.first(), ctx);
-            let off = inst.offset as u32;
-            let dbase = (dst.0 as usize) * 32;
-            let wide = inst.dtype.byte_width() != 2;
-            let (wic, blk) = (warp.warp_in_cta, ctx.block);
-            match space {
-                AddrSpace::Const => {
-                    out.const_access = true;
-                    let mut m = guard_mask;
-                    while m != 0 {
-                        let lane = m.trailing_zeros();
-                        m &= m - 1;
-                        let addr = fetch(base, &warp.regs, wic, lane, blk).wrapping_add(off);
-                        let v = ctx.params.get((addr / 4) as usize).copied().unwrap_or(0);
-                        warp.regs[dbase + lane as usize] = v;
-                    }
-                }
-                AddrSpace::Shared => {
-                    let mut m = guard_mask;
-                    while m != 0 {
-                        let lane = m.trailing_zeros();
-                        m &= m - 1;
-                        out.shared_accesses += 1;
-                        let addr = fetch(base, &warp.regs, wic, lane, blk).wrapping_add(off) as usize;
-                        let v = if wide {
-                            u32::from_le_bytes([
-                                ctx.smem[addr],
-                                ctx.smem[addr + 1],
-                                ctx.smem[addr + 2],
-                                ctx.smem[addr + 3],
-                            ])
-                        } else {
-                            u16::from_le_bytes([ctx.smem[addr], ctx.smem[addr + 1]]) as u32
-                        };
-                        warp.regs[dbase + lane as usize] = v;
-                    }
-                }
-                AddrSpace::Global => {
-                    let mut lines = std::mem::take(ctx.lines_scratch);
-                    lines.clear();
-                    let mut m = guard_mask;
-                    while m != 0 {
-                        let lane = m.trailing_zeros();
-                        m &= m - 1;
-                        let addr = fetch(base, &warp.regs, wic, lane, blk).wrapping_add(off);
-                        let v = if wide {
-                            ctx.mem.read_u32(addr)
-                        } else {
-                            ctx.mem.read_u16(addr) as u32
-                        };
-                        if let Some(r) = ctx.rec.as_deref_mut() {
-                            r.on_global_read(addr, wide, v);
-                        }
-                        warp.regs[dbase + lane as usize] = v;
-                        let line = addr / ctx.line_bytes;
-                        if !lines.contains(&line) {
-                            lines.push(line);
-                        }
-                    }
-                    out.global_lines = lines;
-                }
+        LaneKernel::LdShared => {
+            let addrs = addr_row(warp, d, ids);
+            let dst = warp.row_mut(d.dst_base().expect("validated ld has dst"));
+            let smem = &*ctx.smem;
+            if d.wide {
+                for_lanes(guard_mask, |lane| {
+                    let at = addrs[lane] as usize;
+                    dst[lane] = u32::from_le_bytes([smem[at], smem[at + 1], smem[at + 2], smem[at + 3]]);
+                });
+            } else {
+                for_lanes(guard_mask, |lane| {
+                    let at = addrs[lane] as usize;
+                    dst[lane] = u16::from_le_bytes([smem[at], smem[at + 1]]) as u32;
+                });
             }
-            warp.top_mut().pc += 1;
+            out.shared_accesses = out.exec_lanes;
         }
-        Opcode::St => {
-            let space = inst.space.expect("validated st has space");
-            out.exec_lanes = guard_mask.count_ones();
-            let base = resolve(inst.srcs.first(), ctx);
-            let val = resolve(inst.srcs.get(1), ctx);
-            let off = inst.offset as u32;
-            let wide = inst.dtype.byte_width() != 2;
-            let (wic, blk) = (warp.warp_in_cta, ctx.block);
-            match space {
-                AddrSpace::Shared => {
-                    let mut m = guard_mask;
-                    while m != 0 {
-                        let lane = m.trailing_zeros();
-                        m &= m - 1;
-                        out.shared_accesses += 1;
-                        let addr = fetch(base, &warp.regs, wic, lane, blk).wrapping_add(off) as usize;
-                        let value = fetch(val, &warp.regs, wic, lane, blk);
-                        if wide {
-                            ctx.smem[addr..addr + 4].copy_from_slice(&value.to_le_bytes());
-                        } else {
-                            ctx.smem[addr..addr + 2].copy_from_slice(&(value as u16).to_le_bytes());
-                        }
-                    }
-                }
-                AddrSpace::Global => {
-                    let mut lines = std::mem::take(ctx.lines_scratch);
-                    lines.clear();
-                    let mut m = guard_mask;
-                    while m != 0 {
-                        let lane = m.trailing_zeros();
-                        m &= m - 1;
-                        let addr = fetch(base, &warp.regs, wic, lane, blk).wrapping_add(off);
-                        let value = fetch(val, &warp.regs, wic, lane, blk);
-                        if wide {
-                            ctx.mem.write_u32(addr, value);
-                        } else {
-                            ctx.mem.write_u16(addr, value as u16);
-                        }
-                        if let Some(r) = ctx.rec.as_deref_mut() {
-                            r.on_global_write(addr, wide, value);
-                        }
-                        let line = addr / ctx.line_bytes;
-                        if !lines.contains(&line) {
-                            lines.push(line);
-                        }
-                    }
-                    out.global_lines = lines;
-                    out.global_is_store = true;
-                }
-                AddrSpace::Const => panic!("stores to constant memory are not representable"),
+        LaneKernel::LdGlobal => {
+            let addrs = addr_row(warp, d, ids);
+            match (global_access_in_bounds(ctx.mem, &addrs, guard_mask, d.wide), d.wide) {
+                (true, true) => ld_global(warp, d, guard_mask, &addrs, ctx, GlobalMemory::load_u32),
+                (true, false) => ld_global(warp, d, guard_mask, &addrs, ctx, |m, a| m.load_u16(a) as u32),
+                (false, true) => ld_global(warp, d, guard_mask, &addrs, ctx, GlobalMemory::read_u32),
+                (false, false) => ld_global(warp, d, guard_mask, &addrs, ctx, |m, a| m.read_u16(a) as u32),
             }
-            warp.top_mut().pc += 1;
         }
-        Opcode::Set => {
-            out.exec_lanes = guard_mask.count_ones();
-            let sa = resolve(inst.srcs.first(), ctx);
-            let sb = resolve(inst.srcs.get(1), ctx);
-            let (wic, blk) = (warp.warp_in_cta, ctx.block);
-            let dbase = inst.dst.map(|d| (d.0 as usize) * 32);
-            let mut bits_new = 0u32;
-            let mut m = guard_mask;
-            while m != 0 {
-                let lane = m.trailing_zeros();
-                m &= m - 1;
-                let a = fetch(sa, &warp.regs, wic, lane, blk);
-                let b = fetch(sb, &warp.regs, wic, lane, blk);
-                let t = alu(Opcode::Set, inst.dtype, a, b, 0, inst.cmp, None);
-                if t != 0 {
-                    bits_new |= 1 << lane;
-                }
-                if let Some(dbase) = dbase {
-                    warp.regs[dbase + lane as usize] = t;
-                }
+        LaneKernel::StShared => {
+            let addrs = addr_row(warp, d, ids);
+            let values = warp.row(d.srcs[1], ids);
+            let smem = &mut *ctx.smem;
+            if d.wide {
+                for_lanes(guard_mask, |lane| {
+                    let at = addrs[lane] as usize;
+                    smem[at..at + 4].copy_from_slice(&values[lane].to_le_bytes());
+                });
+            } else {
+                for_lanes(guard_mask, |lane| {
+                    let at = addrs[lane] as usize;
+                    smem[at..at + 2].copy_from_slice(&(values[lane] as u16).to_le_bytes());
+                });
             }
-            if let Some(p) = inst.pdst {
-                let old = warp.preds[p.0 as usize];
-                warp.preds[p.0 as usize] = (old & !guard_mask) | bits_new;
-            }
-            warp.top_mut().pc += 1;
+            out.shared_accesses = out.exec_lanes;
         }
-        _ => {
-            // Plain ALU.
-            out.exec_lanes = guard_mask.count_ones();
-            if let Some(dst) = inst.dst {
-                let sa = resolve(inst.srcs.first(), ctx);
-                let sb = resolve(inst.srcs.get(1), ctx);
-                let sc = resolve(inst.srcs.get(2), ctx);
-                let (wic, blk) = (warp.warp_in_cta, ctx.block);
-                let dbase = (dst.0 as usize) * 32;
-                let (op, dtype) = (inst.op, inst.dtype);
-                let mut m = guard_mask;
-                while m != 0 {
-                    let lane = m.trailing_zeros();
-                    m &= m - 1;
-                    let a = fetch(sa, &warp.regs, wic, lane, blk);
-                    let b = fetch(sb, &warp.regs, wic, lane, blk);
-                    let c = fetch(sc, &warp.regs, wic, lane, blk);
-                    let v = alu(op, dtype, a, b, c, inst.cmp, inst.src_dtype);
-                    warp.regs[dbase + lane as usize] = v;
-                }
+        LaneKernel::StGlobal => {
+            let addrs = addr_row(warp, d, ids);
+            let values = warp.row(d.srcs[1], ids);
+            match (global_access_in_bounds(ctx.mem, &addrs, guard_mask, d.wide), d.wide) {
+                (true, true) => st_global(d, guard_mask, &addrs, &values, ctx, GlobalMemory::store_u32),
+                (true, false) => st_global(d, guard_mask, &addrs, &values, ctx, |m, a, v| m.store_u16(a, v as u16)),
+                (false, true) => st_global(d, guard_mask, &addrs, &values, ctx, GlobalMemory::write_u32),
+                (false, false) => st_global(d, guard_mask, &addrs, &values, ctx, |m, a, v| m.write_u16(a, v as u16)),
             }
-            warp.top_mut().pc += 1;
         }
+        LaneKernel::StConst => panic!("stores to constant memory are not representable"),
+        LaneKernel::Set => match d.dtype {
+            DType::F32 => set_as(warp, d, guard_mask, ids, f32::from_bits),
+            DType::S32 | DType::S16 => set_as(warp, d, guard_mask, ids, |v| v as i32),
+            _ => set_as(warp, d, guard_mask, ids, |v| v),
+        },
+        LaneKernel::Mov => int_lanes!(warp, d, guard_mask, ids, |a, _b, _c| a),
+        LaneKernel::AddInt => int_lanes!(warp, d, guard_mask, ids, |a, b, _c| a.wrapping_add(b)),
+        LaneKernel::SubInt => int_lanes!(warp, d, guard_mask, ids, |a, b, _c| a.wrapping_sub(b)),
+        LaneKernel::MulInt => int_lanes!(warp, d, guard_mask, ids, |a, b, _c| a.wrapping_mul(b)),
+        LaneKernel::MadInt => int_lanes!(warp, d, guard_mask, ids, |a, b, c| a.wrapping_mul(b).wrapping_add(c)),
+        LaneKernel::ShlInt => int_lanes!(warp, d, guard_mask, ids, |a, b, _c| a.wrapping_shl(b & 31)),
+        LaneKernel::AddF32 => lanes(warp, d, guard_mask, ids, |a, b, _| (f32::from_bits(a) + f32::from_bits(b)).to_bits()),
+        LaneKernel::SubF32 => lanes(warp, d, guard_mask, ids, |a, b, _| (f32::from_bits(a) - f32::from_bits(b)).to_bits()),
+        LaneKernel::MulF32 => lanes(warp, d, guard_mask, ids, |a, b, _| (f32::from_bits(a) * f32::from_bits(b)).to_bits()),
+        LaneKernel::MadF32 => lanes(warp, d, guard_mask, ids, |a, b, c| {
+            (f32::from_bits(a) * f32::from_bits(b) + f32::from_bits(c)).to_bits()
+        }),
+        LaneKernel::Alu => lanes(warp, d, guard_mask, ids, |a, b, c| alu(d.op, d.dtype, a, b, c, d.cmp, d.src_dtype)),
     }
 
+    if let Some(next) = next_pc {
+        warp.top_mut().pc = next;
+    }
     warp.reconverge();
     out
 }
@@ -586,7 +681,8 @@ pub(crate) fn execute(warp: &mut Warp, program: &KernelProgram, ctx: &mut ExecCt
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tango_isa::{CmpOp, KernelBuilder, Operand};
+    use crate::decode::decode_program;
+    use tango_isa::{CmpOp, KernelBuilder, KernelProgram, Operand};
 
     fn ctx<'a>(
         mem: &'a mut GlobalMemory,
@@ -598,19 +694,29 @@ mod tests {
             mem,
             smem,
             params,
-            block: Dim3::x(32),
-            grid: Dim3::x(1),
-            cta: (0, 0, 0),
+            ids: ids(Dim3::x(32), 0, [0; 3]),
             line_bytes: 128,
-            lines_scratch: scratch,
+            lines: scratch,
             rec: None,
         }
+    }
+
+    /// The special registers of warp `warp_in_cta` of CTA `cta`.
+    fn ids(block: Dim3, warp_in_cta: u32, cta: [u32; 3]) -> Ids<'static> {
+        let tid = Box::leak(Box::new(tid_rows(block)[warp_in_cta as usize]));
+        Ids { tid, cta }
+    }
+
+    /// One warp-instruction of `program`, launched as one 32-thread CTA.
+    fn step(warp: &mut Warp, program: &KernelProgram, ctx: &mut ExecCtx<'_>) -> ExecOutcome {
+        let decoded = decode_program(program, Dim3::x(1), Dim3::x(32));
+        execute(warp, &decoded[warp.pc() as usize], ctx)
     }
 
     fn run_to_completion(warp: &mut Warp, program: &KernelProgram, ctx: &mut ExecCtx<'_>) -> u32 {
         let mut steps = 0;
         while !warp.done {
-            execute(warp, program, ctx);
+            step(warp, program, ctx);
             steps += 1;
             assert!(steps < 100_000, "kernel did not terminate");
         }
@@ -639,7 +745,7 @@ mod tests {
         let mut smem = [];
         let mut scratch = Vec::new();
         let mut c = ctx(&mut mem, &mut smem, &params, &mut scratch);
-        let mut w = Warp::new(0, 0, 32, p.register_count(), 1.max(p.pred_count()));
+        let mut w = Warp::new(0, 0, Dim3::x(32), p.register_count(), 1.max(p.pred_count()));
         run_to_completion(&mut w, &p, &mut c);
         for lane in 0..32u32 {
             assert_eq!(mem.read_u32(out_buf + lane * 4), lane * 2);
@@ -676,7 +782,7 @@ mod tests {
         let mut smem = [];
         let mut scratch = Vec::new();
         let mut c = ctx(&mut mem, &mut smem, &params, &mut scratch);
-        let mut w = Warp::new(0, 0, 32, prog.register_count(), prog.pred_count().max(1));
+        let mut w = Warp::new(0, 0, Dim3::x(32), prog.register_count(), prog.pred_count().max(1));
         run_to_completion(&mut w, &prog, &mut c);
         assert_eq!(mem.read_u32(out), 45);
         assert_eq!(mem.read_u32(out + 31 * 4), 45);
@@ -715,7 +821,7 @@ mod tests {
         let mut smem = [];
         let mut scratch = Vec::new();
         let mut c = ctx(&mut mem, &mut smem, &params, &mut scratch);
-        let mut w = Warp::new(0, 0, 32, prog.register_count(), prog.pred_count().max(1));
+        let mut w = Warp::new(0, 0, Dim3::x(32), prog.register_count(), prog.pred_count().max(1));
         run_to_completion(&mut w, &prog, &mut c);
         for lane in 0..32u32 {
             let expect = if lane < 16 { 11 } else { 12 };
@@ -745,7 +851,7 @@ mod tests {
         let mut scratch = Vec::new();
         let mut c = ctx(&mut mem, &mut smem, &params, &mut scratch);
         // Only 10 active lanes.
-        let mut w = Warp::new(0, 0, 10, prog.register_count(), prog.pred_count().max(1));
+        let mut w = Warp::new(0, 0, Dim3::x(10), prog.register_count(), prog.pred_count().max(1));
         run_to_completion(&mut w, &prog, &mut c);
         for lane in 0..32u32 {
             let expect = if lane < 10 { 1 } else { 0 };
@@ -774,16 +880,13 @@ mod tests {
         let mut smem = [];
         let mut scratch = Vec::new();
         let mut c = ctx(&mut mem, &mut smem, &params, &mut scratch);
-        let mut w = Warp::new(0, 0, 32, prog.register_count(), prog.pred_count().max(1));
+        let mut w = Warp::new(0, 0, Dim3::x(32), prog.register_count(), prog.pred_count().max(1));
         // Step to the load.
-        let mut lines = Vec::new();
         while !w.done {
-            let o = execute(&mut w, &prog, &mut c);
-            if !o.global_lines.is_empty() {
-                lines = o.global_lines.clone();
-            }
+            step(&mut w, &prog, &mut c);
         }
-        assert_eq!(lines.len(), 1, "aligned consecutive words coalesce into one line");
+        // The load is the last global access; its lines stay in the buffer.
+        assert_eq!(c.lines.len(), 1, "aligned consecutive words coalesce into one line");
     }
 
     #[test]
@@ -807,13 +910,37 @@ mod tests {
         let mut smem = [];
         let mut scratch = Vec::new();
         let mut c = ctx(&mut mem, &mut smem, &params, &mut scratch);
-        let mut w = Warp::new(0, 0, 32, prog.register_count(), prog.pred_count().max(1));
-        let mut max_lines = 0;
+        let mut w = Warp::new(0, 0, Dim3::x(32), prog.register_count(), prog.pred_count().max(1));
         while !w.done {
-            let o = execute(&mut w, &prog, &mut c);
-            max_lines = max_lines.max(o.global_lines.len());
+            step(&mut w, &prog, &mut c);
         }
-        assert_eq!(max_lines, 32);
+        assert_eq!(c.lines.len(), 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "device memory access out of bounds: addr 0x200 len 4 (allocated 0x200)")]
+    fn out_of_bounds_lane_is_reported_as_the_per_lane_check_reports_it() {
+        // Lanes 0..16 fit the 256-byte allocation, lane 16 is the first
+        // past it: the warp-wide test fails, and the access dies there.
+        let mut b = KernelBuilder::new("oob");
+        let tid = b.reg();
+        let addr = b.reg();
+        b.tid_x(tid);
+        let base = b.load_param(0);
+        b.shl(DType::U32, addr, tid.into(), Operand::imm_u32(4));
+        b.add(DType::U32, addr, addr.into(), base.into());
+        b.st_global(DType::U32, addr, 0, tid);
+        b.exit();
+        let prog = b.build().unwrap();
+
+        let mut mem = GlobalMemory::new();
+        let buf = mem.alloc(256);
+        let params = [buf];
+        let mut smem = [];
+        let mut scratch = Vec::new();
+        let mut c = ctx(&mut mem, &mut smem, &params, &mut scratch);
+        let mut w = Warp::new(0, 0, Dim3::x(32), prog.register_count(), 1);
+        run_to_completion(&mut w, &prog, &mut c);
     }
 
     #[test]
@@ -830,7 +957,7 @@ mod tests {
         let mut smem = [];
         let mut scratch = Vec::new();
         let mut c = ctx(&mut mem, &mut smem, &params, &mut scratch);
-        let mut w = Warp::new(0, 0, 32, prog.register_count(), 1);
+        let mut w = Warp::new(0, 0, Dim3::x(32), prog.register_count(), 1);
         run_to_completion(&mut w, &prog, &mut c);
         assert_eq!(f32::from_bits(w.regs[0]), 1.5 * 2.0 + 0.25);
     }
@@ -849,7 +976,7 @@ mod tests {
         let mut smem = [];
         let mut scratch = Vec::new();
         let mut c = ctx(&mut mem, &mut smem, &params, &mut scratch);
-        let mut w = Warp::new(0, 0, 32, prog.register_count(), 1);
+        let mut w = Warp::new(0, 0, Dim3::x(32), prog.register_count(), 1);
         run_to_completion(&mut w, &prog, &mut c);
         assert_eq!(w.regs[0], 0);
     }
@@ -874,9 +1001,9 @@ mod tests {
         let mut smem = vec![0u8; 256];
         let mut scratch = Vec::new();
         let mut c = ctx(&mut mem, &mut smem, &params, &mut scratch);
-        let mut w = Warp::new(0, 0, 32, prog.register_count(), 1);
+        let mut w = Warp::new(0, 0, Dim3::x(32), prog.register_count(), 1);
         while !w.done {
-            let o = execute(&mut w, &prog, &mut c);
+            let o = step(&mut w, &prog, &mut c);
             if o.did_barrier {
                 w.at_barrier = false; // single-warp CTA: release immediately
             }
@@ -901,8 +1028,236 @@ mod tests {
         let mut smem = [];
         let mut scratch = Vec::new();
         let mut c = ctx(&mut mem, &mut smem, &params, &mut scratch);
-        let mut w = Warp::new(0, 0, 32, prog.register_count(), 1);
+        let mut w = Warp::new(0, 0, Dim3::x(32), prog.register_count(), 1);
         run_to_completion(&mut w, &prog, &mut c);
         assert_eq!(w.regs[sum.0 as usize * 32], 42);
+    }
+
+    /// Operand bit patterns worth a lane each: +-0, denormals, +-1, +-inf,
+    /// `i32::MIN`, shift counts around 32, and the 16-bit narrowing edges.
+    const EDGES: [u32; 20] = [
+        0,
+        0x8000_0000,
+        1,
+        0x007f_ffff,
+        0x8000_0001,
+        0x3f80_0000,
+        0xbf80_0000,
+        0x7f80_0000,
+        0xff80_0000,
+        31,
+        32,
+        33,
+        0x7fff,
+        0x8000,
+        0xffff,
+        0x1_0000,
+        0xffff_8000,
+        0x7fff_ffff,
+        0x4f00_0000,
+        0xcf00_0001,
+    ];
+    /// NaNs with payloads (quiet, negative, signalling).
+    const NANS: [u32; 3] = [0x7fc1_2345, 0xffc0_0001, 0x7f80_0001];
+
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// A register value: an edge, a NaN, or noise.
+    fn pick(state: &mut u64) -> u32 {
+        let r = xorshift(state);
+        match r % 8 {
+            0..=3 => EDGES[(r >> 8) as usize % EDGES.len()],
+            4 => NANS[(r >> 8) as usize % NANS.len()],
+            _ => (r >> 16) as u32,
+        }
+    }
+
+    #[test]
+    fn every_op_dtype_pair_matches_alu_lane_by_lane() {
+        use tango_isa::{FuncUnit, Instruction, PredReg, Reg, Special};
+        let is_nan = |v: u32| f32::from_bits(v).is_nan();
+        let (r0, r1, r2) = (Operand::Reg(Reg(0)), Operand::Reg(Reg(1)), Operand::Reg(Reg(2)));
+        let special = |s: Special| Operand::Special(s);
+        // Placeholder immediates are replaced by drawn values per round.
+        let imm = Operand::Imm(0);
+        let forms: [[Operand; 3]; 8] = [
+            [r0, r1, r2],
+            [r0, imm, r2],
+            [imm, r1, imm],
+            [special(Special::TidX), r1, special(Special::TidY)],
+            [r0, special(Special::TidZ), special(Special::CtaIdX)],
+            [special(Special::CtaIdY), special(Special::NTidX), special(Special::CtaIdZ)],
+            [special(Special::NTidY), special(Special::NTidZ), special(Special::NCtaIdX)],
+            [r0, special(Special::NCtaIdY), special(Special::NCtaIdZ)],
+        ];
+        let blocks = [Dim3::x(64), Dim3::xy(8, 6), Dim3::xyz(4, 3, 5), Dim3::x(10)];
+        let tids = blocks.map(tid_rows);
+        let grid = Dim3::xyz(5, 4, 3);
+        let cta = [3, 1, 2];
+        // No guard, then guards leaving no lane, one lane, and two
+        // divergent halves (one through the negated sense).
+        let guards = [None, Some((0, true)), Some((1 << 17, true)), Some((0xa5a5_5a5a, true)), Some((0x0f0f_f0f0, false))];
+        let cmps = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne];
+
+        let mut rng = 0x7a16_0201_9151_u64;
+        let mut kernels_seen = Vec::new();
+        // Control and memory ops compute no lane values; everything else does.
+        let value_ops = Opcode::ALL.into_iter().filter(|op| !matches!(op.func_unit(), FuncUnit::Ctrl | FuncUnit::LdSt));
+        for op in value_ops {
+            for dtype in crate::decode::DTYPE_ORDER {
+                let variants: Vec<(Option<CmpOp>, Option<DType>)> = match op {
+                    Opcode::Set => cmps.iter().map(|&c| (Some(c), None)).collect(),
+                    Opcode::Cvt => crate::decode::DTYPE_ORDER.iter().map(|&t| (None, Some(t))).collect(),
+                    _ => vec![(None, None)],
+                };
+                for (cmp, src_dtype) in variants {
+                    for round in 0..forms.len() * blocks.len() {
+                        let block = blocks[round % blocks.len()];
+                        let warp_in_cta = if block.count() > 32 { round as u32 / 4 % 2 } else { 0 };
+                        let srcs = forms[round % forms.len()].map(|o| match o {
+                            // The one NaN a lane may hold is the registers' to bring.
+                            Operand::Imm(_) => Operand::Imm(loop {
+                                let v = EDGES[xorshift(&mut rng) as usize % EDGES.len()];
+                                if !is_nan(v) {
+                                    break v;
+                                }
+                            }),
+                            o => o,
+                        });
+                        // Odd rounds overwrite a source, as accumulators do.
+                        let dst = if round % 2 == 1 { Reg(0) } else { Reg(3) };
+                        for guard in guards {
+                            let mut inst = Instruction::new(op, dtype);
+                            // `set` takes exactly two operands.
+                            inst.srcs = srcs[..if op == Opcode::Set { 2 } else { 3 }].to_vec();
+                            inst.cmp = cmp;
+                            inst.src_dtype = src_dtype;
+                            inst.guard = guard.map(|(_, sense)| (PredReg(1), sense));
+                            if op == Opcode::Set {
+                                inst.pdst = Some(PredReg(0));
+                                inst.dst = (round % 4 < 2).then_some(dst);
+                            } else {
+                                inst.dst = Some(dst);
+                            }
+                            let mut b = KernelBuilder::new("pair");
+                            for _ in 0..4 {
+                                b.reg();
+                            }
+                            b.pred();
+                            b.pred();
+                            b.push_raw(inst);
+                            b.exit();
+                            let program = b.build().unwrap();
+                            let d = decode_program(&program, grid, block)[0];
+                            if !kernels_seen.contains(&d.kernel) {
+                                kernels_seen.push(d.kernel);
+                            }
+
+                            let mut warp = Warp::new(0, warp_in_cta, block, 4, 2);
+                            for v in &mut warp.regs {
+                                *v = pick(&mut rng);
+                            }
+                            warp.preds = vec![xorshift(&mut rng) as u32, guard.map_or(0, |(bits, _)| bits)];
+                            let operand = |regs: &[u32], k: usize, lane: usize| match srcs[k] {
+                                Operand::Reg(r) => regs[r.0 as usize * 32 + lane],
+                                Operand::Imm(v) => v,
+                                Operand::Special(s) => {
+                                    let (tx, ty, tz) = lane_thread_coords(warp_in_cta, lane as u32, block);
+                                    match s {
+                                        Special::TidX => tx,
+                                        Special::TidY => ty,
+                                        Special::TidZ => tz,
+                                        Special::CtaIdX => cta[0],
+                                        Special::CtaIdY => cta[1],
+                                        Special::CtaIdZ => cta[2],
+                                        Special::NTidX => block.x,
+                                        Special::NTidY => block.y,
+                                        Special::NTidZ => block.z,
+                                        Special::NCtaIdX => grid.x,
+                                        Special::NCtaIdY => grid.y,
+                                        Special::NCtaIdZ => grid.z,
+                                    }
+                                }
+                            };
+                            // Which of two NaN operands x86 propagates depends on the
+                            // operand order the compiler picked, which `alu` and a
+                            // vectorised kernel need not share. Keep one NaN a lane,
+                            // and no NaN addend beside an invalid product.
+                            for lane in 0..32 {
+                                let mut nans = 0;
+                                for k in 0..3 {
+                                    let v = operand(&warp.regs, k, lane);
+                                    let invalid_product = k == 2 && {
+                                        let (a, b) = (operand(&warp.regs, 0, lane), operand(&warp.regs, 1, lane));
+                                        (f32::from_bits(a) * f32::from_bits(b)).is_nan()
+                                    };
+                                    if is_nan(v) && (nans > 0 || invalid_product) {
+                                        warp.regs[k * 32 + lane] = 1.5f32.to_bits();
+                                    } else if is_nan(v) {
+                                        nans += 1;
+                                    }
+                                }
+                            }
+
+                            let before = warp.clone();
+                            let mut mem = GlobalMemory::new();
+                            let mut scratch = Vec::new();
+                            let mut c = ctx(&mut mem, &mut [], &[], &mut scratch);
+                            c.ids = Ids { tid: &tids[round % blocks.len()][warp_in_cta as usize], cta };
+                            let out = execute(&mut warp, &d, &mut c);
+
+                            let top = before.top().mask;
+                            let mask = match guard {
+                                None => top,
+                                Some((bits, true)) => top & bits,
+                                Some((bits, false)) => top & !bits,
+                            };
+                            let mut want = before.clone();
+                            let mut pred_bits = 0;
+                            for lane in (0..32).filter(|lane| mask >> lane & 1 == 1) {
+                                let [a, b, c] = [0, 1, 2].map(|k| operand(&before.regs, k, lane));
+                                let v = alu(op, dtype, a, b, c, cmp, src_dtype);
+                                if let Some(dst) = d.dst {
+                                    want.regs[dst as usize * 32 + lane] = v;
+                                }
+                                pred_bits |= (v & 1) << lane;
+                            }
+                            if op == Opcode::Set {
+                                want.preds[0] = (before.preds[0] & !mask) | pred_bits;
+                            }
+                            let what = format!(
+                                "{op}.{dtype} cmp {cmp:?} from {src_dtype:?}, {srcs:?} -> {dst}, block {block} warp {warp_in_cta}, guard {guard:x?}"
+                            );
+                            assert_eq!(warp.regs, want.regs, "{what}");
+                            assert_eq!(warp.preds, want.preds, "{what}");
+                            assert_eq!(out.exec_lanes, mask.count_ones(), "{what}");
+                            assert_eq!(warp.pc(), 1, "{what}");
+                        }
+                    }
+                }
+            }
+        }
+        // The table reaches every arithmetic kernel, not only the fallback.
+        for kernel in [
+            LaneKernel::Set,
+            LaneKernel::Mov,
+            LaneKernel::AddInt,
+            LaneKernel::SubInt,
+            LaneKernel::MulInt,
+            LaneKernel::MadInt,
+            LaneKernel::ShlInt,
+            LaneKernel::AddF32,
+            LaneKernel::SubF32,
+            LaneKernel::MulF32,
+            LaneKernel::MadF32,
+            LaneKernel::Alu,
+        ] {
+            assert!(kernels_seen.contains(&kernel), "{kernel:?} never ran");
+        }
     }
 }

@@ -1,8 +1,9 @@
 //! The simulated GPU device: owns device memory, the shared L2/DRAM, and
 //! runs kernel launches to completion.
 
-use crate::config::{CacheGeometry, GpuConfig, SimOptions};
+use crate::config::{CacheGeometry, GpuConfig, SchedulerPolicy, SimOptions};
 use crate::decode::{decode_program, DecodedInst};
+use crate::exec::{self, Row};
 use crate::mem::GlobalMemory;
 use crate::memo::{self, MemoRecorder};
 use crate::memsys::MemorySystem;
@@ -139,7 +140,8 @@ impl Gpu {
 
     /// Launches `program` over `grid` x `block` threads with the given
     /// 32-bit parameters (typically buffer addresses and layer dimensions)
-    /// and `smem_bytes` of per-CTA shared memory.
+    /// and `smem_bytes` of per-CTA shared memory (raised to what the
+    /// program itself declares, if that is more).
     ///
     /// Runs the launch to completion under `opts` and returns its
     /// statistics. With CTA sampling enabled (the default), only a prefix
@@ -196,6 +198,9 @@ impl Gpu {
             program.param_count(),
             params.len()
         );
+        // A CTA gets, and occupancy is limited by, what the statistics
+        // report: the larger of the request and the program's own need.
+        let smem_bytes = program.smem_bytes().max(smem_bytes);
         let cta_threads = block.count() as u32;
         assert!(
             cta_threads <= 1024,
@@ -276,23 +281,12 @@ impl Gpu {
         let cycle = replayed.as_ref().map_or(0, |s| s.cycles);
         let next_cta = if done { sim_ctas } else { 0 };
 
-        // A replayed launch never cycles, so skip building its machine.
-        let (sms, decoded) = if done {
+        // A replayed launch never cycles, so it decodes nothing (and, like
+        // any launch, builds an SM only when a CTA is dispatched to it).
+        let (decoded, tid_rows) = if done {
             (Vec::new(), Vec::new())
         } else {
-            let sms: Vec<Sm> = (0..self.config.num_sms)
-                .map(|_| {
-                    Sm::new(
-                        &self.config,
-                        l1_geometry,
-                        ctas_per_sm,
-                        warps_per_cta,
-                        params.len(),
-                        Scheduler::new(policy, 6),
-                    )
-                })
-                .collect();
-            (sms, decode_program(program))
+            (decode_program(program, grid, block), exec::tid_rows(block))
         };
 
         // Launch span: opened here at the thread's virtual cursor, closed
@@ -308,8 +302,12 @@ impl Gpu {
             grid,
             block,
             smem_bytes,
-            sms,
+            sms: Vec::new(),
+            l1_geometry,
+            warps_per_cta,
+            policy,
             decoded,
+            tid_rows,
             meter,
             agg: LaunchAgg::default(),
             line_bytes,
@@ -385,9 +383,16 @@ pub struct LaunchFrame<'a> {
     grid: Dim3,
     block: Dim3,
     smem_bytes: u32,
+    /// The SMs that have been given a CTA, in SM-index order: a launch
+    /// that fills four SMs builds four.
     sms: Vec<Sm>,
-    /// Flat pre-decoded program (index-parallel with its instructions).
+    l1_geometry: Option<CacheGeometry>,
+    warps_per_cta: u32,
+    policy: SchedulerPolicy,
+    /// The program as micro-ops for this launch's geometry, indexed by pc.
     decoded: Vec<DecodedInst>,
+    /// `tid.{x,y,z}` lane vectors of each warp of a CTA.
+    tid_rows: Vec<[Row; 3]>,
     meter: PowerMeter,
     agg: LaunchAgg,
     line_bytes: u32,
@@ -439,16 +444,27 @@ impl LaunchFrame<'_> {
         // spread over the whole machine instead of packing a few SMs.
         while self.next_cta < self.sim_ctas {
             let mut placed = false;
-            for sm in &mut self.sms {
+            for i in 0..config.num_sms as usize {
                 if self.next_cta >= self.sim_ctas {
                     break;
                 }
+                if i == self.sms.len() {
+                    self.sms.push(Sm::new(
+                        config,
+                        self.l1_geometry,
+                        self.ctas_per_sm,
+                        self.warps_per_cta,
+                        self.params.len(),
+                        Scheduler::new(self.policy, 6),
+                    ));
+                }
+                let sm = &mut self.sms[i];
                 if sm.has_room() {
                     let id = self.next_cta % self.base_ctas;
                     let x = (id % self.grid.x as u64) as u32;
                     let y = ((id / self.grid.x as u64) % self.grid.y as u64) as u32;
                     let z = (id / (self.grid.x as u64 * self.grid.y as u64)) as u32;
-                    sm.accept_cta((x, y, z), self.program, self.block, self.smem_bytes);
+                    sm.accept_cta([x, y, z], self.program, self.block, self.smem_bytes);
                     self.next_cta += 1;
                     placed = true;
                 }
@@ -461,22 +477,23 @@ impl LaunchFrame<'_> {
         let mut any_active = false;
         let mut active_sms = 0u32;
         let mut next_event = u64::MAX;
-        for sm in &mut self.sms {
-            let mut env = SmEnv {
-                cycle: self.cycle,
-                weight: self.weight,
-                mem,
-                memsys,
-                meter: &mut self.meter,
-                agg: &mut self.agg,
-                program: self.program,
-                decoded: &self.decoded,
-                params: &self.params,
-                grid: self.grid,
-                block: self.block,
-                line_bytes: self.line_bytes,
-                rec: self.recorder.as_mut(),
-            };
+        let mut env = SmEnv {
+            cycle: self.cycle,
+            weight: self.weight,
+            mem,
+            memsys,
+            meter: &mut self.meter,
+            agg: &mut self.agg,
+            decoded: &self.decoded,
+            params: &self.params,
+            tid_rows: &self.tid_rows,
+            line_bytes: self.line_bytes,
+            rec: self.recorder.as_mut(),
+        };
+        // In SM-index order: the shared L2/DRAM sees accesses in the order
+        // the SMs are visited. An SM without a resident warp has nothing
+        // to do and nothing to report.
+        for sm in self.sms.iter_mut().filter(|sm| sm.is_active()) {
             let (active, hint) = sm.cycle(&mut env);
             any_active |= active;
             if active {
@@ -571,7 +588,7 @@ impl LaunchFrame<'_> {
             regs_per_thread: self.regs_per_thread,
             live_regs_per_thread: max_live_registers(self.program),
             max_resident_threads,
-            smem_bytes: self.program.smem_bytes().max(self.smem_bytes),
+            smem_bytes: self.smem_bytes,
             cmem_bytes: self.program.cmem_bytes(),
             energy,
             peak_power_w,
@@ -638,7 +655,7 @@ mod tests {
     use super::*;
     use crate::config::SchedulerPolicy;
     use crate::stats::StallReason;
-    use tango_isa::{CmpOp, DType, KernelBuilder, Operand};
+    use tango_isa::{CmpOp, DType, KernelBuilder, Operand, Special};
 
     fn saxpy_program() -> KernelProgram {
         // y[tid] = a * x[tid] + y[tid]
@@ -892,21 +909,100 @@ mod tests {
         b.build().unwrap()
     }
 
+    #[test]
+    fn declared_shared_memory_is_allocated_whatever_the_launch_asks_for() {
+        // `launch(.., 0, ..)` of a kernel that declares shared memory used
+        // to size the CTA's array (and occupancy) from the 0.
+        let program = smem_bar_program();
+        let run = |smem_bytes: u32| {
+            let n = 40 * 128;
+            let mut gpu = Gpu::new(GpuConfig::tx1());
+            let x = gpu.upload_f32s(&(0..n).map(|i| (i % 97) as f32).collect::<Vec<_>>());
+            let y = gpu.upload_f32s(&vec![1.0; n]);
+            let opts = SimOptions::new().with_cta_sample_limit(None).with_memo(false);
+            let stats = gpu.launch(&program, Dim3::x(40), Dim3::x(128), &[x, y], smem_bytes, &opts);
+            (format!("{stats:?}"), gpu.download_f32s(y, n))
+        };
+        let declared = run(program.smem_bytes());
+        assert_eq!(run(0), declared);
+        assert_eq!(run(program.smem_bytes() / 2), declared);
+    }
+
+    fn diverge2d_program() -> KernelProgram {
+        // 2-D block. The last four threads leave through a guarded `exit`;
+        // the rest split inside an `ssy` region (`rcp` on one side, `ex2`
+        // on the other), reconverge, round-trip a value through `u16`, and
+        // store under a predicate written by `set`.
+        let mut b = KernelBuilder::new("diverge2d");
+        let tx = b.reg();
+        let ty = b.reg();
+        let lin = b.reg();
+        let bid = b.reg();
+        let cta_threads = b.reg();
+        let gt = b.reg();
+        let xa = b.reg();
+        let ya = b.reg();
+        let v = b.reg();
+        let w = b.reg();
+        let k = b.reg();
+        let p_exit = b.pred();
+        let p_side = b.pred();
+        let p_store = b.pred();
+        b.tid_x(tx);
+        b.tid_y(ty);
+        b.mad_lo(DType::U32, lin, ty, Special::NTidX.into(), tx.into());
+        b.ctaid_x(bid);
+        b.mul(DType::U32, cta_threads, Special::NTidX.into(), Special::NTidY.into());
+        b.mad_lo(DType::U32, gt, bid, cta_threads.into(), lin.into());
+        let x_base = b.load_param(0);
+        let y_base = b.load_param(1);
+        let scale = b.load_param(2);
+        b.mad_lo(DType::U32, xa, gt, Operand::imm_u32(4), x_base.into());
+        b.mad_lo(DType::U32, ya, gt, Operand::imm_u32(4), y_base.into());
+        b.ld_global(DType::F32, v, xa, 0);
+        b.set(CmpOp::Ge, DType::U32, p_exit, lin.into(), Operand::imm_u32(124));
+        b.exit();
+        b.guard_last(p_exit, true);
+        let l_else = b.label();
+        let l_join = b.label();
+        b.ssy(l_join);
+        b.set(CmpOp::Lt, DType::U32, p_side, tx.into(), Operand::imm_u32(5));
+        b.bra_if(p_side, true, l_else);
+        b.add(DType::F32, w, v.into(), Operand::imm_f32(1.0));
+        b.rcp(w, w.into());
+        b.bra(l_join);
+        b.place(l_else);
+        b.mul(DType::F32, w, v.into(), Operand::imm_f32(0.125));
+        b.ex2(w, w.into());
+        b.place(l_join);
+        b.mul(DType::F32, k, v.into(), Operand::imm_f32(1000.0));
+        b.cvt(DType::U16, DType::F32, k, k.into());
+        b.cvt(DType::F32, DType::U16, k, k.into());
+        b.mad(DType::F32, w, k.into(), scale.into(), w.into());
+        b.set(CmpOp::Gt, DType::F32, p_store, v.into(), Operand::imm_f32(40.0));
+        b.st_global(DType::F32, ya, 0, w);
+        b.guard_last(p_store, true);
+        b.exit();
+        b.build().unwrap()
+    }
+
     /// The issue-stage exactness matrix: {GTO, LRR, TLV} x {L1D default,
     /// bypassed} x {streaming saxpy, the `reuse` loop, shared memory +
-    /// `bar`} on a TX1 (32 resident CTAs of 128 threads) with grids past
-    /// residency, so warp slots are recycled mid-launch. `run` drives each
-    /// frame to its statistics; a row is (cell label, stats, output buffer).
+    /// `bar`, divergence in a 2-D block} on a TX1 (32 resident CTAs of 128
+    /// threads) with grids past residency, so warp slots are recycled
+    /// mid-launch. `run` drives each frame to its statistics; a row is
+    /// (cell label, stats, output buffer).
     fn issue_matrix(mut run: impl FnMut(LaunchFrame<'_>) -> KernelStats) -> Vec<(String, KernelStats, Vec<f32>)> {
-        let kernels: [(&str, KernelProgram, u32); 3] = [
-            ("saxpy", saxpy_program(), 80),
-            ("reuse", reuse_program(48), 40),
-            ("smem_bar", smem_bar_program(), 80),
+        let kernels: [(&str, KernelProgram, u32, Dim3); 4] = [
+            ("saxpy", saxpy_program(), 80, Dim3::x(128)),
+            ("reuse", reuse_program(48), 40, Dim3::x(128)),
+            ("smem_bar", smem_bar_program(), 80, Dim3::x(128)),
+            ("diverge2d", diverge2d_program(), 80, Dim3::xy(16, 8)),
         ];
         let mut out = Vec::new();
         for policy in SchedulerPolicy::ALL {
             for l1_bypass in [false, true] {
-                for (name, program, grid) in &kernels {
+                for (name, program, grid, block) in &kernels {
                     let n = (*grid * 128) as usize;
                     let mut gpu = Gpu::new(GpuConfig::tx1());
                     let x = gpu.upload_f32s(&(0..n).map(|i| (i % 97) as f32).collect::<Vec<_>>());
@@ -919,7 +1015,7 @@ mod tests {
                     if l1_bypass {
                         opts = opts.with_l1d_bytes(0);
                     }
-                    let frame = gpu.begin_launch(program, Dim3::x(*grid), Dim3::x(128), &params, program.smem_bytes(), &opts);
+                    let frame = gpu.begin_launch(program, Dim3::x(*grid), *block, &params, program.smem_bytes(), &opts);
                     let stats = run(frame);
                     let label = format!("{policy}/{}/{name}", if l1_bypass { "no_l1" } else { "l1" });
                     out.push((label, stats, gpu.download_f32s(y, n)));
@@ -929,28 +1025,42 @@ mod tests {
         out
     }
 
-    fn fnv1a(text: &str) -> u64 {
-        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+    fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
     }
 
     #[test]
     fn issue_stage_statistics_match_the_recorded_goldens() {
-        // FNV-1a of `format!("{stats:?}")`, recorded at the commit before
-        // the issue stage became event-driven (stall cache + per-SM sleep).
-        // The event-driven stage must reproduce every counter, the cycle
-        // count, and every energy/peak-power float to the bit.
+        // FNV-1a of `format!("{stats:?}")`. The first three kernels of each
+        // cell were recorded at the commit before the issue stage became
+        // event-driven (stall cache + per-SM sleep), `diverge2d` (and the
+        // FNV-1a of its output buffer's bits) at the commit before the
+        // interpreter moved to decoded micro-ops. Every counter, the cycle
+        // count, and every energy/peak-power float must match to the bit.
         const GOLDEN: [u64; 18] = [
             0x5f33ca1780801c41, 0x942b41823754d51a, 0x31fc35a3f5efeb2c, 0x810edac97c2a08fe, 0xda7b586f1ec44a52,
             0x302d166615066af8, 0x0e37f8defced5410, 0x0fce67d38c5ae5b7, 0x9ecfc10ac5c910f4, 0xf5c3c148511a1dd2,
             0x640e3d842c9d8512, 0xa68f5c673f9cc87c, 0x84f7a957ed00437b, 0x714d100c9c45f743, 0x6559e8abbab025dc,
             0xc19f8b242f88a820, 0x54c9f0f8b45a45e2, 0x50664d7dee74b656,
         ];
+        const GOLDEN_DIVERGE2D: [u64; 6] = [
+            0xec611062bd9464ec, 0xf5ffcc76aed2b952, 0x6b1832f210b4a6b3, 0x08620f9513cf0d33, 0xf0400be8ce66aec0,
+            0x880c5b3f79dc430f,
+        ];
+        const GOLDEN_DIVERGE2D_OUTPUT: u64 = 0x5d610f5b0a31700d;
         let rows = issue_matrix(|frame| frame.finish());
-        let got: Vec<u64> = rows.iter().map(|(_, stats, _)| fnv1a(&format!("{stats:?}"))).collect();
-        for ((label, stats, _), (g, want)) in rows.iter().zip(got.iter().zip(GOLDEN)) {
-            assert_eq!(*g, want, "{label} diverged: {stats:?}\nall digests now: {got:#018x?}");
+        assert_eq!(rows.len(), GOLDEN.len() + GOLDEN_DIVERGE2D.len());
+        let got: Vec<u64> = rows.iter().map(|(_, stats, _)| fnv1a(format!("{stats:?}").bytes())).collect();
+        for (i, (label, stats, output)) in rows.iter().enumerate() {
+            let (cell, kernel) = (i / 4, i % 4);
+            let want = if kernel < 3 { GOLDEN[cell * 3 + kernel] } else { GOLDEN_DIVERGE2D[cell] };
+            assert_eq!(got[i], want, "{label} diverged: {stats:?}\nall digests now: {got:#018x?}");
+            if kernel == 3 {
+                let out_digest = fnv1a(output.iter().flat_map(|v| v.to_bits().to_le_bytes()));
+                assert_eq!(out_digest, GOLDEN_DIVERGE2D_OUTPUT, "{label} output diverged: {out_digest:#018x}");
+                assert!(output.iter().any(|&v| v != 1.0) && output.contains(&1.0), "{label}: the guarded store must hit some lanes only");
+            }
         }
-        assert_eq!(got.len(), GOLDEN.len());
     }
 
     #[test]

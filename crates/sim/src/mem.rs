@@ -74,12 +74,43 @@ impl GlobalMemory {
         self.next.saturating_sub(Self::ALIGN) as u64
     }
 
+    /// Whether every `bytes`-wide access that starts in `lo..=hi` lies
+    /// inside the backing store and above the null page.
+    pub(crate) fn in_bounds(&self, lo: u32, hi: u32, bytes: u32) -> bool {
+        (hi as usize) + (bytes as usize) <= self.data.len() && lo >= Self::ALIGN
+    }
+
     fn check(&self, addr: u32, bytes: u32) {
         assert!(
-            (addr as usize) + (bytes as usize) <= self.data.len() && addr >= Self::ALIGN,
+            self.in_bounds(addr, addr, bytes),
             "device memory access out of bounds: addr {addr:#x} len {bytes} (allocated {:#x})",
             self.data.len()
         );
+    }
+
+    /// [`read_u32`](Self::read_u32) for a caller that has already tested
+    /// [`in_bounds`](Self::in_bounds) for a range holding `addr`.
+    pub(crate) fn load_u32(&self, addr: u32) -> u32 {
+        let i = addr as usize;
+        u32::from_le_bytes([self.data[i], self.data[i + 1], self.data[i + 2], self.data[i + 3]])
+    }
+
+    /// [`write_u32`](Self::write_u32) after a passed `in_bounds` test.
+    pub(crate) fn store_u32(&mut self, addr: u32, value: u32) {
+        let i = addr as usize;
+        self.data[i..i + 4].copy_from_slice(&value.to_le_bytes());
+    }
+
+    /// [`read_u16`](Self::read_u16) after a passed `in_bounds` test.
+    pub(crate) fn load_u16(&self, addr: u32) -> u16 {
+        let i = addr as usize;
+        u16::from_le_bytes([self.data[i], self.data[i + 1]])
+    }
+
+    /// [`write_u16`](Self::write_u16) after a passed `in_bounds` test.
+    pub(crate) fn store_u16(&mut self, addr: u32, value: u16) {
+        let i = addr as usize;
+        self.data[i..i + 2].copy_from_slice(&value.to_le_bytes());
     }
 
     /// Backing-store size in bytes (the largest valid address bound).
@@ -105,8 +136,7 @@ impl GlobalMemory {
     /// Panics if the address is outside every allocation (a kernel bug).
     pub fn read_u32(&self, addr: u32) -> u32 {
         self.check(addr, 4);
-        let i = addr as usize;
-        u32::from_le_bytes([self.data[i], self.data[i + 1], self.data[i + 2], self.data[i + 3]])
+        self.load_u32(addr)
     }
 
     /// Writes a 32-bit word.
@@ -116,8 +146,7 @@ impl GlobalMemory {
     /// Panics if the address is outside every allocation (a kernel bug).
     pub fn write_u32(&mut self, addr: u32, value: u32) {
         self.check(addr, 4);
-        let i = addr as usize;
-        self.data[i..i + 4].copy_from_slice(&value.to_le_bytes());
+        self.store_u32(addr, value);
     }
 
     /// Reads a 16-bit word.
@@ -127,8 +156,7 @@ impl GlobalMemory {
     /// Panics if the address is out of bounds.
     pub fn read_u16(&self, addr: u32) -> u16 {
         self.check(addr, 2);
-        let i = addr as usize;
-        u16::from_le_bytes([self.data[i], self.data[i + 1]])
+        self.load_u16(addr)
     }
 
     /// Writes a 16-bit word.
@@ -138,8 +166,7 @@ impl GlobalMemory {
     /// Panics if the address is out of bounds.
     pub fn write_u16(&mut self, addr: u32, value: u16) {
         self.check(addr, 2);
-        let i = addr as usize;
-        self.data[i..i + 2].copy_from_slice(&value.to_le_bytes());
+        self.store_u16(addr, value);
     }
 
     /// Copies a float slice into device memory at `addr`.

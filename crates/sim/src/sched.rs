@@ -20,6 +20,74 @@ pub(crate) struct Scheduler {
     tlv_capacity: usize,
 }
 
+/// Which list a [`Walk`] reads its slots from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WalkSource {
+    AgeOrder,
+    SlotAsc,
+    Buffer,
+}
+
+/// A position in the candidate order of one SM visit. The order is fixed
+/// when the walk starts: issuing moves the scheduler's state, and a warp
+/// that finishes leaves `age_order` and `slot_asc` under the walk — the
+/// rest are still visited once each, in the order they had.
+#[derive(Debug)]
+pub(crate) struct Walk {
+    source: WalkSource,
+    /// Visited before the list: GTO's greedy slot, which may have been
+    /// vacated since it last issued (the SM passes over vacant slots).
+    lead: Option<usize>,
+    /// Passed over in the list (the greedy slot again).
+    skip: Option<usize>,
+    /// Index in the list of the next slot.
+    at: usize,
+    /// List entries not yet reached.
+    left: usize,
+    /// Whether the slot visited last would leave the list by finishing.
+    last_in_live_list: bool,
+}
+
+impl Walk {
+    /// The next candidate slot. The lists are the ones the walk was
+    /// started on, less the slots whose warps have finished since.
+    #[inline]
+    pub fn next(&mut self, age_order: &[usize], slot_asc: &[usize], buf: &[usize]) -> Option<usize> {
+        if let Some(slot) = self.lead.take() {
+            return Some(slot);
+        }
+        let (list, wraps) = match self.source {
+            WalkSource::AgeOrder => (age_order, false),
+            WalkSource::SlotAsc => (slot_asc, true),
+            WalkSource::Buffer => (buf, false),
+        };
+        while self.left > 0 {
+            if self.at >= list.len() {
+                if !wraps || list.is_empty() {
+                    break;
+                }
+                self.at = 0;
+            }
+            let slot = list[self.at];
+            self.at += 1;
+            self.left -= 1;
+            if Some(slot) != self.skip {
+                self.last_in_live_list = self.source != WalkSource::Buffer;
+                return Some(slot);
+            }
+        }
+        None
+    }
+
+    /// The warp in the slot visited last finished: it has left its list
+    /// and its successor moved into its place.
+    pub fn note_warp_finished(&mut self) {
+        if self.last_in_live_list {
+            self.at -= 1;
+        }
+    }
+}
+
 impl Scheduler {
     pub fn new(policy: SchedulerPolicy, tlv_capacity: usize) -> Self {
         Scheduler {
@@ -82,6 +150,40 @@ impl Scheduler {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// Starts a walk of the candidate order that [`order_into`](Self::order_into)
+    /// would produce now, without copying it: GTO and LRR are read off the
+    /// SM's own lists as the walk advances. TLV's order depends on more
+    /// than those lists, so it is built into `buf` and walked from there.
+    pub fn walk(&self, age_order: &[usize], slot_asc: &[usize], buf: &mut Vec<usize>) -> Walk {
+        let walk = Walk {
+            source: WalkSource::Buffer,
+            lead: None,
+            skip: None,
+            at: 0,
+            left: 0,
+            last_in_live_list: false,
+        };
+        match self.policy {
+            SchedulerPolicy::Lrr => Walk {
+                source: WalkSource::SlotAsc,
+                at: slot_asc.partition_point(|&s| s < self.lrr_next),
+                left: slot_asc.len(),
+                ..walk
+            },
+            SchedulerPolicy::Gto => Walk {
+                source: WalkSource::AgeOrder,
+                lead: self.gto_current,
+                skip: self.gto_current,
+                left: age_order.len(),
+                ..walk
+            },
+            SchedulerPolicy::Tlv => {
+                self.order_into(age_order, slot_asc, buf);
+                Walk { left: buf.len(), ..walk }
             }
         }
     }
@@ -263,6 +365,44 @@ mod tests {
         s.note_warp_finished(4);
         let o = occ(&[1, 2]);
         assert_eq!(order_of(&s, &o), vec![1, 2]);
+    }
+
+    #[test]
+    fn walk_visits_the_copied_order_while_warps_finish_under_it() {
+        // Every policy, every scheduler state a few issues can reach, and
+        // every single slot finishing right after it is visited.
+        let slots = [1usize, 2, 4, 5, 7, 9];
+        for policy in SchedulerPolicy::ALL {
+            for issued in [vec![], vec![4], vec![9, 1], vec![2, 7, 7, 5], vec![3]] {
+                let mut s = Scheduler::new(policy, 3);
+                for &slot in &issued {
+                    s.note_issue(slot);
+                }
+                s.note_memory_stall(7);
+                for finisher in slots.iter().map(|&f| Some(f)).chain([None]) {
+                    // Oldest-first is some other permutation than slot order.
+                    let mut age_order = vec![5usize, 1, 9, 2, 7, 4];
+                    let mut slot_asc = slots.to_vec();
+                    let mut copied = Vec::new();
+                    s.order_into(&age_order, &slot_asc, &mut copied);
+                    let mut buf = Vec::new();
+                    let mut walk = s.walk(&age_order, &slot_asc, &mut buf);
+                    let mut visited = Vec::new();
+                    while let Some(slot) = walk.next(&age_order, &slot_asc, &buf) {
+                        if !slots.contains(&slot) {
+                            continue; // GTO's greedy slot, vacated: the SM passes over it
+                        }
+                        visited.push(slot);
+                        if Some(slot) == finisher {
+                            age_order.retain(|&x| x != slot);
+                            slot_asc.retain(|&x| x != slot);
+                            walk.note_warp_finished();
+                        }
+                    }
+                    assert_eq!(visited, copied, "{policy} after {issued:?}, {finisher:?} finishing");
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use crate::cache::Cache;
 use crate::config::{CacheGeometry, GpuConfig, PowerConstants};
 use crate::decode::{DecodedInst, DTYPE_ORDER};
-use crate::exec::{self, ExecCtx, PendKind, Warp};
+use crate::exec::{self, ExecCtx, Ids, PendKind, Row, Warp};
 use crate::mem::GlobalMemory;
 use crate::memo::MemoRecorder;
 use crate::memsys::MemorySystem;
@@ -18,7 +18,7 @@ use tango_isa::{AddrSpace, DType, Dim3, FuncUnit, KernelProgram, Opcode};
 /// Resident thread-block bookkeeping.
 #[derive(Debug)]
 struct CtaRt {
-    coords: (u32, u32, u32),
+    coords: [u32; 3],
     smem: Vec<u8>,
     threads: u32,
     warps_total: u32,
@@ -76,12 +76,11 @@ pub(crate) struct SmEnv<'a> {
     pub memsys: &'a mut MemorySystem,
     pub meter: &'a mut PowerMeter,
     pub agg: &'a mut LaunchAgg,
-    pub program: &'a KernelProgram,
-    /// Flat pre-decoded form of `program` (index-parallel).
+    /// The launch's program as micro-ops, indexed by pc.
     pub decoded: &'a [DecodedInst],
     pub params: &'a [u32],
-    pub grid: Dim3,
-    pub block: Dim3,
+    /// `exec::tid_rows` of the launch's block.
+    pub tid_rows: &'a [[Row; 3]],
     pub line_bytes: u32,
     /// Launch memo recorder, when this launch is being recorded.
     pub rec: Option<&'a mut MemoRecorder>,
@@ -109,6 +108,8 @@ pub(crate) struct Sm {
     const_warm: Vec<bool>,
     resident_threads: u32,
     pub(crate) peak_threads: u32,
+    /// TLV's candidate order of the current visit (GTO and LRR are walked
+    /// off the two lists below).
     order_scratch: Vec<usize>,
     /// Reused buffer for the slots that issued in the current visit.
     issued_scratch: Vec<usize>,
@@ -121,8 +122,7 @@ pub(crate) struct Sm {
     sample_debt: u64,
     /// Live warp count (`is_active` in O(1)).
     resident_warps: u32,
-    /// Reused line-coalescing buffer handed to the interpreter (round-trips
-    /// through `ExecOutcome::global_lines` on every global memory op).
+    /// The lines the interpreter's last global memory op touched.
     line_scratch: Vec<u32>,
 }
 
@@ -230,7 +230,7 @@ impl Sm {
     /// # Panics
     ///
     /// Panics if no CTA slot is free (callers check [`has_room`](Self::has_room)).
-    pub fn accept_cta(&mut self, coords: (u32, u32, u32), program: &KernelProgram, block: Dim3, smem_bytes: u32) {
+    pub fn accept_cta(&mut self, coords: [u32; 3], program: &KernelProgram, block: Dim3, smem_bytes: u32) {
         let cta_slot = self
             .ctas
             .iter()
@@ -249,8 +249,7 @@ impl Sm {
         let reg_count = program.register_count().max(1);
         let pred_count = program.pred_count().max(1);
         for w in 0..warps_total {
-            let lanes = (threads - w * 32).min(32);
-            let warp = Warp::new(cta_slot, w, lanes, reg_count, pred_count);
+            let warp = Warp::new(cta_slot, w, block, reg_count, pred_count);
             let slot = self
                 .warps
                 .iter()
@@ -290,7 +289,7 @@ impl Sm {
         if warp.fetch_ready > cycle {
             return Some((StallReason::InstFetch, warp.fetch_ready));
         }
-        if let Some(p) = d.guard {
+        if let Some((p, _)) = d.guard {
             let ready = warp.pred_ready[p as usize];
             if ready > cycle {
                 return Some((StallReason::ExecDependency, ready));
@@ -342,20 +341,32 @@ impl Sm {
     /// conditions like barriers, whose release is another warp's progress).
     ///
     /// A scoreboard stall is stored per slot and answered from the store
-    /// until its ready cycle; [`issue`](Self::issue) and
-    /// [`accept_cta`](Self::accept_cta) clear it. Barrier state is another
-    /// warp's doing, so it is checked first and never stored.
+    /// until its ready cycle, before the warp itself is looked at;
+    /// [`issue`](Self::issue) and [`accept_cta`](Self::accept_cta) clear
+    /// it. A warp reaches a barrier by issuing `bar` and stores nothing
+    /// while it waits there, so a live entry is never a parked warp's.
+    #[inline(always)]
     fn check_issue(&mut self, slot: usize, env: &SmEnv<'_>, ports: &Ports) -> Option<(StallReason, u64)> {
+        let cached = self.stall_cache[slot];
+        if env.cycle < cached.1 {
+            debug_assert_eq!(
+                self.check_issue_uncached(slot, env, &Ports::default()),
+                Some(cached),
+                "stale stall cache, slot {slot}"
+            );
+            return Some(cached);
+        }
+        self.check_issue_fresh(slot, env, ports)
+    }
+
+    /// [`check_issue`](Self::check_issue) past the stall store: looks at
+    /// the warp, and stores the scoreboard stall it finds.
+    fn check_issue_fresh(&mut self, slot: usize, env: &SmEnv<'_>, ports: &Ports) -> Option<(StallReason, u64)> {
         let warp = self.warps[slot].as_ref().expect("checked occupied");
         if warp.at_barrier {
             return Some((StallReason::Sync, u64::MAX));
         }
         let d = &env.decoded[warp.pc() as usize];
-        let cached = self.stall_cache[slot];
-        if env.cycle < cached.1 {
-            debug_assert_eq!(Self::scoreboard(warp, d, env.cycle), Some(cached), "stale stall cache, slot {slot}");
-            return Some(cached);
-        }
         if let Some(stall) = Self::scoreboard(warp, d, env.cycle) {
             self.stall_cache[slot] = stall;
             return Some(stall);
@@ -376,11 +387,14 @@ impl Sm {
 
     /// Issues one warp-instruction: functional execution, timing update,
     /// cache traffic, and energy charges.
+    ///
+    /// The warp is worked on where it lives; its slot is vacated only when
+    /// it finishes.
     fn issue(&mut self, slot: usize, env: &mut SmEnv<'_>, ports: &mut Ports) {
-        let mut warp = self.warps[slot].take().expect("checked occupied");
+        let warp = self.warps[slot].as_mut().expect("checked occupied");
         self.stall_cache[slot] = NO_STALL;
-        let pc = warp.pc() as usize;
-        let d = env.decoded[pc];
+        let decoded = env.decoded;
+        let d = &decoded[warp.pc() as usize];
         let op = d.op;
         let dtype = d.dtype;
         let unit = d.unit;
@@ -390,20 +404,21 @@ impl Sm {
         let const_param_index = d.const_param_index;
 
         let cta_slot = warp.cta_slot;
-        let mut out = {
+        let out = {
             let cta = self.ctas[cta_slot].as_mut().expect("warp's CTA is resident");
             let mut ectx = ExecCtx {
                 mem: env.mem,
                 smem: &mut cta.smem,
                 params: env.params,
-                block: env.block,
-                grid: env.grid,
-                cta: cta.coords,
+                ids: Ids {
+                    tid: &env.tid_rows[warp.warp_in_cta as usize],
+                    cta: cta.coords,
+                },
                 line_bytes: env.line_bytes,
-                lines_scratch: &mut self.line_scratch,
+                lines: &mut self.line_scratch,
                 rec: env.rec.as_deref_mut(),
             };
-            exec::execute(&mut warp, env.program, &mut ectx)
+            exec::execute(warp, d, &mut ectx)
         };
 
         // Port usage.
@@ -448,9 +463,9 @@ impl Sm {
         match op {
             Opcode::Ld | Opcode::St => match d.space.expect("validated memory op") {
                 AddrSpace::Global => {
-                    let is_store = out.global_is_store;
+                    let is_store = op == Opcode::St;
                     let mut completion = env.cycle + self.cfg.l1_latency as u64;
-                    for &line in &out.global_lines {
+                    for &line in &self.line_scratch {
                         let l1_hit = match self.l1d.as_mut() {
                             Some(l1) => {
                                 env.meter.charge_nj(Component::Dcp, p.l1_nj);
@@ -492,6 +507,7 @@ impl Sm {
                     env.meter.charge_nj(Component::Ccp, p.const_nj);
                     let warm = const_param_index
                         .map(|i| {
+                            let i = i as usize;
                             let w = self.const_warm.get(i).copied().unwrap_or(true);
                             if let Some(flag) = self.const_warm.get_mut(i) {
                                 *flag = true;
@@ -521,11 +537,6 @@ impl Sm {
             }
         }
 
-        // Hand the line buffer back for the next memory instruction.
-        if d.is_global_mem {
-            self.line_scratch = std::mem::take(&mut out.global_lines);
-        }
-
         if out.redirect {
             warp.fetch_ready = env.cycle + self.cfg.fetch_bubble as u64;
         }
@@ -536,9 +547,7 @@ impl Sm {
             self.resident_warps -= 1;
             self.age_order.retain(|&s| s != slot);
             self.slot_asc.retain(|&s| s != slot);
-            // Drop the warp; its slot frees up.
-        } else {
-            self.warps[slot] = Some(warp);
+            self.warps[slot] = None;
         }
 
         if out.did_barrier || finished {
@@ -636,18 +645,33 @@ impl Sm {
         let mut next_event = u64::MAX;
 
         if cycle >= self.sched_block_until {
-            let mut order = std::mem::take(&mut self.order_scratch);
-            self.sched.order_into(&self.age_order, &self.slot_asc, &mut order);
-            for &slot in &order {
-                if issued_slots.len() >= self.cfg.issue_width as usize {
+            let mut walk = self.sched.walk(&self.age_order, &self.slot_asc, &mut self.order_scratch);
+            // Debug-build oracle: the walk visits the copied order, less
+            // the warps that finished under it.
+            let mut expected = Vec::new();
+            if cfg!(debug_assertions) {
+                self.sched.order_into(&self.age_order, &self.slot_asc, &mut expected);
+                expected.reverse();
+            }
+            while issued_slots.len() < self.cfg.issue_width as usize {
+                let Some(slot) = walk.next(&self.age_order, &self.slot_asc, &self.order_scratch) else {
                     break;
+                };
+                // A vacant slot holds `NO_STALL`, so the stored-stall test
+                // (which comes first in `check_issue`) cannot speak for it.
+                if cycle >= self.stall_cache[slot].1 && self.warps[slot].is_none() {
+                    continue; // named by TLV's copied order or as GTO's greedy slot
                 }
-                if self.warps[slot].is_none() {
-                    continue; // finished earlier this same cycle
+                if cfg!(debug_assertions) {
+                    let copied = std::iter::from_fn(|| expected.pop()).find(|&s| self.warps[s].is_some());
+                    assert_eq!(copied, Some(slot), "in-place walk left the scheduler's order at cycle {cycle}");
                 }
                 match self.check_issue(slot, env, &ports) {
                     None => {
                         self.issue(slot, env, &mut ports);
+                        if self.warps[slot].is_none() {
+                            walk.note_warp_finished();
+                        }
                         issued_slots.push(slot);
                         self.sched.note_issue(slot);
                     }
@@ -663,7 +687,6 @@ impl Sm {
                     }
                 }
             }
-            self.order_scratch = order;
         } else {
             next_event = next_event.min(self.sched_block_until);
         }
@@ -680,7 +703,7 @@ impl Sm {
             let mut census = StallBreakdown::new();
             for i in 0..self.age_order.len() {
                 let slot = self.age_order[i];
-                if self.warps[slot].is_none() || issued_slots.contains(&slot) {
+                if issued_slots.contains(&slot) {
                     continue;
                 }
                 let (reason, hint) = self
@@ -804,11 +827,9 @@ mod tests {
             memsys: &mut world.memsys,
             meter: &mut world.meter,
             agg: &mut world.agg,
-            program: &world.program,
             decoded: &world.decoded,
             params: &world.params,
-            grid: Dim3::x(2),
-            block: Dim3::x(32),
+            tid_rows: &world.tid_rows,
             line_bytes: 128,
             rec: None,
         };
@@ -822,6 +843,7 @@ mod tests {
         agg: LaunchAgg,
         program: KernelProgram,
         decoded: Vec<DecodedInst>,
+        tid_rows: Vec<[Row; 3]>,
         params: Vec<u32>,
     }
 
@@ -840,7 +862,8 @@ mod tests {
             memsys: MemorySystem::new(config),
             meter: PowerMeter::new(config.power, config.clock_ghz, 4096),
             agg: LaunchAgg::default(),
-            decoded: decode_program(&program),
+            decoded: decode_program(&program, Dim3::x(2), Dim3::x(32)),
+            tid_rows: exec::tid_rows(Dim3::x(32)),
             program,
             params: vec![buf],
         }
@@ -852,7 +875,7 @@ mod tests {
         let mut world = world(&config);
         let mut sm = Sm::new(&config, config.l1d, 2, 1, 1, Scheduler::new(SchedulerPolicy::Gto, 6));
         sm.stall_cache[1] = (StallReason::ExecDependency, u64::MAX); // stale entry of an earlier tenant
-        sm.accept_cta((0, 0, 0), &world.program, Dim3::x(32), 0);
+        sm.accept_cta([0, 0, 0], &world.program, Dim3::x(32), 0);
 
         // Tick until the lone warp waits on its parameter and the SM sleeps.
         let mut cycle = 0;
@@ -875,7 +898,7 @@ mod tests {
         // next visit is a real one, and the 3 skipped cycles are charged to
         // the sleeping warp's reason (this visit's 2 go to the sample debt,
         // because the new warp issues).
-        sm.accept_cta((1, 0, 0), &world.program, Dim3::x(32), 0);
+        sm.accept_cta([1, 0, 0], &world.program, Dim3::x(32), 0);
         assert_eq!(sm.stall_cache[1], NO_STALL);
         let (_, hint) = visit(&mut sm, &mut world, from + 5, 2);
         assert_eq!(hint, from + 6);
