@@ -17,6 +17,13 @@ echo "== tango-sim tests at the release opt-level =="
 # and the (op, dtype) table must hold without them.
 cargo test --release -q -p tango-sim
 
+echo "== tango-obs, tango-serve, tango-fleet tests at the release opt-level =="
+# The fleet loop's ready index, the handle-based registry and the
+# one-pass serve metrics are checked against their reference forms by
+# generated inputs; those comparisons must also hold with every
+# `debug_assert!` compiled out.
+cargo test --release -q -p tango-obs -p tango-serve -p tango-fleet
+
 echo "== clippy: workspace must be warning-free =="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -63,40 +63,47 @@ impl Autoscaler {
         now >= self.next_eval_ns
     }
 
-    /// Evaluates every pool (index-aligned actions) and schedules the
-    /// next evaluation. `sheds_since_last` is the fleet-wide shed count
-    /// since the previous evaluation — the revive signal for pools at
-    /// zero.
-    pub fn evaluate(&mut self, now: u64, pools: &[ScaleView], sheds_since_last: u64) -> Vec<ScaleAction> {
+    /// Schedules the evaluation after the one due at `now` (the cadence
+    /// realigns after a long jump).
+    pub fn advance(&mut self, now: u64) {
         while self.next_eval_ns <= now {
             self.next_eval_ns += self.config.interval_ns;
         }
+    }
+
+    /// What to do to one pool. `sheds_since_last` is the fleet-wide
+    /// shed count since the previous evaluation — the revive signal for
+    /// pools at zero. A pool's action depends on no other pool's view.
+    pub fn decide(&self, p: &ScaleView, sheds_since_last: u64) -> ScaleAction {
         let high = self.config.high_queue_per_device;
         let low = self.config.low_queue_per_device;
-        pools
-            .iter()
-            .map(|p| {
-                if p.target == 0 {
-                    // A dead pool gets no placements, so its own queue
-                    // can never argue for revival — fleet-wide sheds do.
-                    return if sheds_since_last > 0 && p.max_devices > 0 {
-                        ScaleAction::Grow(1)
-                    } else {
-                        ScaleAction::Hold
-                    };
-                }
-                let pending = p.pending as u64;
-                if pending > high * p.target as u64 && p.target < p.max_devices {
-                    return ScaleAction::Grow(1);
-                }
-                let drained = p.pending == 0 && p.idle == p.target;
-                let under_low = pending < low * (p.target as u64 - 1);
-                if p.target > p.min_devices && (under_low || drained) {
-                    return ScaleAction::Shrink(1);
-                }
+        if p.target == 0 {
+            // A dead pool gets no placements, so its own queue
+            // can never argue for revival — fleet-wide sheds do.
+            return if sheds_since_last > 0 && p.max_devices > 0 {
+                ScaleAction::Grow(1)
+            } else {
                 ScaleAction::Hold
-            })
-            .collect()
+            };
+        }
+        let pending = p.pending as u64;
+        if pending > high * p.target as u64 && p.target < p.max_devices {
+            return ScaleAction::Grow(1);
+        }
+        let drained = p.pending == 0 && p.idle == p.target;
+        let under_low = pending < low * (p.target as u64 - 1);
+        if p.target > p.min_devices && (under_low || drained) {
+            return ScaleAction::Shrink(1);
+        }
+        ScaleAction::Hold
+    }
+
+    /// Evaluates every pool (index-aligned actions) and schedules the
+    /// next evaluation: [`advance`](Self::advance), then
+    /// [`decide`](Self::decide) per pool.
+    pub fn evaluate(&mut self, now: u64, pools: &[ScaleView], sheds_since_last: u64) -> Vec<ScaleAction> {
+        self.advance(now);
+        pools.iter().map(|p| self.decide(p, sheds_since_last)).collect()
     }
 }
 

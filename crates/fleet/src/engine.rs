@@ -18,9 +18,9 @@ use crate::cost::FleetCost;
 use crate::metrics::{emit_alert_instants, FleetMetrics, FleetMetricsConfig, FleetMetricsReport};
 use crate::router::{Placement, PoolView, Router, ShedReason};
 use crate::trace::FleetTrace;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use tango_nets::NetworkKind;
-use tango_serve::{BatchCost, DeviceSet, LatencySummary, Result, ServeError};
+use tango_serve::{BatchCost, CostTable, DeviceSet, KindIndex, LatencySummary, Result, ServeError};
 
 /// What happened to one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,13 +146,13 @@ impl FleetReport {
     /// Latency summary over completed requests of `class` (`None` if
     /// none completed).
     pub fn class_latency(&self, class: usize) -> Option<LatencySummary> {
-        let lat: Vec<u64> = self
+        let latencies = self
             .records
             .iter()
             .filter(|r| r.class == class)
             .filter_map(|r| r.latency_ns())
             .collect();
-        LatencySummary::from_latencies(&lat)
+        LatencySummary::from_latencies(latencies)
     }
 
     /// Total joules across pools.
@@ -175,15 +175,90 @@ struct Queued {
     at_ns: u64,
 }
 
+/// The run's batching constants, as the queues need them.
+#[derive(Clone, Copy)]
+struct Batching {
+    max_batch: usize,
+    max_delay_ns: u64,
+    /// Network kinds of the trace: a pool's queues are indexed
+    /// `class * kinds + kind`.
+    kinds: usize,
+}
+
+impl Batching {
+    /// The instant `queue` may dispatch: at once (0) while it holds a
+    /// full batch, else when its head has waited `max_delay_ns`; `None`
+    /// for an empty queue.
+    fn due_at(&self, queue: &VecDeque<Queued>) -> Option<u64> {
+        let head = queue.front()?;
+        Some(match queue.len() >= self.max_batch {
+            true => 0,
+            false => head.at_ns.saturating_add(self.max_delay_ns),
+        })
+    }
+}
+
 /// One pool's live scheduling state.
 struct PoolState {
     devices: DeviceSet,
     /// Queues indexed `class * kinds + kind`.
     queues: Vec<VecDeque<Queued>>,
     pending: usize,
+    /// Queues holding a request: a walk over them stops at this many.
+    nonempty: usize,
+    /// The pool's ready index: the least [`Batching::due_at`] of its
+    /// queues, `u64::MAX` with nothing queued. Only [`enqueue`] and a
+    /// dispatch change a queue; the first lowers the index, the second
+    /// ends in [`refresh_ready`], so it is current whenever it is read.
+    ///
+    /// [`enqueue`]: PoolState::enqueue
+    /// [`refresh_ready`]: PoolState::refresh_ready
+    ready_at: u64,
+    /// Instant up to which `stats.device_ns` is settled.
+    settled_ns: u64,
     min_devices: usize,
     max_devices: usize,
     stats: PoolStats,
+}
+
+impl PoolState {
+    fn enqueue(&mut self, queue: usize, item: Queued, batching: &Batching) {
+        let queue = &mut self.queues[queue];
+        if queue.is_empty() {
+            self.nonempty += 1;
+        }
+        queue.push_back(item);
+        self.pending += 1;
+        let due_at = batching.due_at(queue).expect("just pushed");
+        self.ready_at = self.ready_at.min(due_at);
+    }
+
+    /// The queue to dispatch at `now`, as `(class, kind)`: of the queues
+    /// due, the highest priority (lowest class), then the oldest head,
+    /// then kind order.
+    fn pick(&self, now: u64, batching: &Batching) -> Option<(usize, usize)> {
+        self.queues.chunks(batching.kinds).enumerate().find_map(|(class, by_kind)| {
+            let due = by_kind
+                .iter()
+                .enumerate()
+                .filter(|(_, q)| batching.due_at(q).is_some_and(|due_at| due_at <= now));
+            let (_, kind) = due.map(|(kind, q)| (q.front().expect("due").at_ns, kind)).min()?;
+            Some((class, kind))
+        })
+    }
+
+    fn refresh_ready(&mut self, batching: &Batching) {
+        let due_at = self.queues.iter().filter_map(|q| batching.due_at(q));
+        self.ready_at = due_at.take(self.nonempty).min().unwrap_or(u64::MAX);
+    }
+
+    /// Adds to `device_ns` the `held` devices that existed from the last
+    /// settlement to `now`. Called when that count changes and at the
+    /// end of the run, so the sum is the integral the report defines.
+    fn settle(&mut self, now: u64, held: usize) {
+        self.stats.device_ns += held as u128 * u128::from(now - self.settled_ns);
+        self.settled_ns = now;
+    }
 }
 
 /// Obs track layout: each pool owns a 1000-track band in the fleet
@@ -205,6 +280,7 @@ const SHED_TRACK: u32 = 999;
 /// `costs`/pools length mismatch, and propagates cost-model
 /// (simulation) failures.
 pub fn run_fleet(trace: &FleetTrace, config: &FleetConfig, costs: &[&dyn FleetCost]) -> Result<FleetReport> {
+    config.validate()?;
     run_fleet_inner(trace, config, costs, None)
 }
 
@@ -232,13 +308,18 @@ pub fn run_fleet_metered(
     Ok((report, metrics))
 }
 
+/// The event loop behind both entry points; `config` is validated.
+///
+/// Every step reads state the events that concern it keep current — a
+/// pool's ready index, its device set's next completion, two fleet-wide
+/// counts of outstanding work — so an iteration costs a few comparisons
+/// per pool plus the work of the events actually due at `now`.
 fn run_fleet_inner(
     trace: &FleetTrace,
     config: &FleetConfig,
     costs: &[&dyn FleetCost],
     mut metrics: Option<&mut FleetMetrics>,
 ) -> Result<FleetReport> {
-    config.validate()?;
     if costs.len() != config.pools.len() {
         return Err(ServeError::Config(format!(
             "{} cost models for {} pools",
@@ -255,25 +336,17 @@ fn run_fleet_inner(
     }
     let kinds = trace.kinds();
     let nk = kinds.len();
-    let kind_index = |kind: NetworkKind| -> usize {
-        kinds
-            .iter()
-            .position(|&k| k == kind)
-            .expect("trace request kind not in trace.kinds()")
+    let kind_index = KindIndex::new(kinds);
+    let batching = Batching {
+        max_batch: config.max_batch as usize,
+        max_delay_ns: config.max_delay_ns,
+        kinds: nk,
     };
 
     let requests = trace.requests();
-    let mut records: Vec<FleetRecord> = requests
-        .iter()
-        .map(|r| FleetRecord {
-            kind: r.kind,
-            class: r.class,
-            arrival_ns: r.at_ns,
-            outcome: FleetOutcome::Shed {
-                reason: ShedReason::NoCapacity, // placeholder, always overwritten
-            },
-        })
-        .collect();
+    // One record per request, pushed as it arrives: `records[i]` is
+    // request `i` of the trace.
+    let mut records: Vec<FleetRecord> = Vec::with_capacity(requests.len());
 
     let mut pools: Vec<PoolState> = config
         .pools
@@ -282,6 +355,9 @@ fn run_fleet_inner(
             devices: DeviceSet::new(spec.devices),
             queues: (0..config.classes.len() * nk).map(|_| VecDeque::new()).collect(),
             pending: 0,
+            nonempty: 0,
+            ready_at: u64::MAX,
+            settled_ns: 0,
             min_devices: spec.min_devices,
             max_devices: spec.max_devices,
             stats: PoolStats {
@@ -299,50 +375,52 @@ fn run_fleet_inner(
         })
         .collect();
 
-    // Batch costs are pure in (pool, kind, batch); memoize so the
-    // store-backed models are consulted once per distinct query.
-    let mut cost_cache: Vec<BTreeMap<(usize, u32), BatchCost>> = vec![BTreeMap::new(); pools.len()];
-    let mut cost_of = move |pool: usize, kind_idx: usize, kind: NetworkKind, batch: u32| -> Result<BatchCost> {
-        if let Some(&c) = cost_cache[pool].get(&(kind_idx, batch)) {
-            return Ok(c);
-        }
-        let c = costs[pool].batch_cost(kind, batch)?;
-        cost_cache[pool].insert((kind_idx, batch), c);
-        Ok(c)
-    };
+    // Batch costs are pure in (pool, kind, batch): one row per (pool,
+    // kind), so the store-backed models are consulted once per distinct
+    // query.
+    let mut cost_table: CostTable<BatchCost> = CostTable::new(pools.len() * nk);
+    // The router's snapshot of the fleet, refilled per arrival.
+    let mut views: Vec<PoolView> = Vec::with_capacity(pools.len());
 
     let mut router = Router::new(config.policy);
     let mut autoscaler = config.autoscale.map(Autoscaler::new);
     let mut sheds_since_eval = 0u64;
     let mut next_arrival = 0usize;
+    // Outstanding work past the trace cursor: requests in a queue and
+    // batches on a device, fleet-wide.
+    let (mut queued, mut in_flight) = (0usize, 0usize);
     let mut now = 0u64;
     let mut makespan = 0u64;
-    let max_batch = config.max_batch as usize;
 
     loop {
         // 1. Retire every batch that finished by `now`, pool order.
         for p in pools.iter_mut() {
-            p.devices.complete_until(now);
+            if p.devices.next_completion().is_some_and(|done_at| done_at <= now) {
+                let busy = p.devices.busy();
+                let retired = p.devices.complete_until(now);
+                in_flight -= busy - p.devices.busy();
+                if retired > 0 {
+                    p.settle(now, p.devices.active() + retired);
+                }
+            }
         }
 
-        // 2. Autoscale at evaluation instants.
+        // 2. Autoscale at evaluation instants. A pool's action depends
+        //    on its own view only, so each is decided and applied in turn.
         if let Some(scaler) = autoscaler.as_mut() {
             if scaler.due(now) {
-                let views: Vec<ScaleView> = pools
-                    .iter()
-                    .map(|p| ScaleView {
+                scaler.advance(now);
+                let sheds = std::mem::take(&mut sheds_since_eval);
+                for (i, p) in pools.iter_mut().enumerate() {
+                    let view = ScaleView {
                         pending: p.pending,
                         idle: p.devices.idle(),
                         target: p.devices.target(),
                         min_devices: p.min_devices,
                         max_devices: p.max_devices,
-                    })
-                    .collect();
-                let actions = scaler.evaluate(now, &views, sheds_since_eval);
-                sheds_since_eval = 0;
-                for (i, action) in actions.into_iter().enumerate() {
-                    let p = &mut pools[i];
-                    match action {
+                    };
+                    let held = p.devices.active();
+                    match scaler.decide(&view, sheds) {
                         ScaleAction::Hold => continue,
                         ScaleAction::Grow(n) => {
                             p.devices.grow(n);
@@ -353,6 +431,9 @@ fn run_fleet_inner(
                                 p.stats.shrinks += 1;
                             }
                         }
+                    }
+                    if p.devices.active() != held {
+                        p.settle(now, held);
                     }
                     let target = p.devices.target();
                     p.stats.peak_devices = p.stats.peak_devices.max(target);
@@ -373,11 +454,11 @@ fn run_fleet_inner(
         // 3. Admit (or shed) every arrival due by `now`, trace order.
         while next_arrival < requests.len() && requests[next_arrival].at_ns <= now {
             let req = &requests[next_arrival];
-            let k = kind_index(req.kind);
+            let k = kind_index.get(req.kind).expect("a trace holds only its own kinds");
             // Snapshot the fleet for the router.
-            let mut views = Vec::with_capacity(pools.len());
+            views.clear();
             for (i, p) in pools.iter().enumerate() {
-                let svc = cost_of(i, k, req.kind, 1)?.ns;
+                let svc = cost_table.get(i * nk + k, 1, || costs[i].batch_cost(req.kind, 1))?.ns;
                 let next_free = if p.devices.idle() > 0 {
                     0
                 } else {
@@ -395,14 +476,15 @@ fn run_fleet_inner(
             if let Some(m) = metrics.as_deref_mut() {
                 m.on_arrival(req.at_ns, req.class);
             }
-            records[next_arrival].outcome = match router.place(&views, config.queue_bound, slo) {
+            let outcome = match router.place(&views, config.queue_bound, slo) {
                 Placement::Pool(i) => {
                     let p = &mut pools[i];
-                    p.queues[req.class * nk + k].push_back(Queued {
+                    let item = Queued {
                         record_idx: next_arrival,
                         at_ns: req.at_ns,
-                    });
-                    p.pending += 1;
+                    };
+                    p.enqueue(req.class * nk + k, item, &batching);
+                    queued += 1;
                     tango_obs::fleet_counter_at(
                         now,
                         pool_track_base(i) + PENDING_TRACK,
@@ -428,30 +510,28 @@ fn run_fleet_inner(
                     FleetOutcome::Shed { reason }
                 }
             };
+            records.push(FleetRecord {
+                kind: req.kind,
+                class: req.class,
+                arrival_ns: req.at_ns,
+                outcome,
+            });
             next_arrival += 1;
         }
 
-        // 4. Dispatch ready queues onto free devices, pool order. A
-        //    queue is ready when it holds a full batch or its head aged
-        //    past the delay bound; ties prefer higher priority (lower
-        //    class), then the oldest head, then kind order.
+        // 4. Dispatch due queues onto free devices, pool order. A queue
+        //    is due when it holds a full batch or its head aged past the
+        //    delay bound; ties prefer higher priority (lower class),
+        //    then the oldest head, then kind order. The ready index
+        //    says whether a pool has one without walking its queues.
         for (i, p) in pools.iter_mut().enumerate() {
-            while p.devices.peek_free().is_some() {
-                let ready = p
-                    .queues
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(qi, q)| {
-                        let head = q.front()?;
-                        let full = q.len() >= max_batch;
-                        let aged = now >= head.at_ns.saturating_add(config.max_delay_ns);
-                        (full || aged).then_some((qi / nk, head.at_ns, qi % nk))
-                    })
-                    .min();
-                let Some((class, _, k)) = ready else { break };
+            while p.ready_at <= now && p.devices.peek_free().is_some() {
+                let (class, k) = p.pick(now, &batching).expect("the ready index names a due queue");
                 let qi = class * nk + k;
-                let batch_len = p.queues[qi].len().min(max_batch);
-                let cost = cost_of(i, k, kinds[k], batch_len as u32)?;
+                let batch_len = p.queues[qi].len().min(batching.max_batch);
+                let cost = cost_table.get(i * nk + k, batch_len as u32, || {
+                    costs[i].batch_cost(kinds[k], batch_len as u32)
+                })?;
                 let completed_ns = now + cost.ns.max(1);
                 let device = p.devices.dispatch(now, completed_ns).expect("peeked free device");
                 if tango_obs::is_enabled() {
@@ -480,7 +560,13 @@ fn run_fleet_inner(
                         m.on_complete(completed_ns, rec.class, latency, slo_met);
                     }
                 }
+                if p.queues[qi].is_empty() {
+                    p.nonempty -= 1;
+                }
+                p.refresh_ready(&batching);
                 p.pending -= batch_len;
+                queued -= batch_len;
+                in_flight += 1;
                 tango_obs::fleet_counter_at(
                     now,
                     pool_track_base(i) + PENDING_TRACK,
@@ -501,30 +587,25 @@ fn run_fleet_inner(
         }
 
         // 5. Advance the clock to the next event: an arrival, a
-        //    completion, a queue head aging past the delay bound (when a
-        //    device is idle to take it), or an autoscaler evaluation
-        //    (only while work remains — evaluations alone must not keep
-        //    a finished simulation alive).
+        //    completion, a queue coming due (when a device is idle to
+        //    take it — step 4 left no such queue due at `now`), or an
+        //    autoscaler evaluation (only while work remains —
+        //    evaluations alone must not keep a finished simulation
+        //    alive).
         let mut next = u64::MAX;
         if next_arrival < requests.len() {
             next = next.min(requests[next_arrival].at_ns);
         }
-        let outstanding = next_arrival < requests.len()
-            || pools.iter().any(|p| p.pending > 0 || p.devices.busy() > 0);
         for p in &pools {
             if let Some(done_at) = p.devices.next_completion() {
                 next = next.min(done_at);
             }
             if p.devices.idle() > 0 {
-                for q in &p.queues {
-                    if let Some(head) = q.front() {
-                        next = next.min(head.at_ns.saturating_add(config.max_delay_ns));
-                    }
-                }
+                next = next.min(p.ready_at);
             }
         }
         if let Some(scaler) = &autoscaler {
-            if outstanding {
+            if next_arrival < requests.len() || queued > 0 || in_flight > 0 {
                 next = next.min(scaler.next_eval_ns());
             }
         }
@@ -532,20 +613,19 @@ fn run_fleet_inner(
             break;
         }
         debug_assert!(next > now, "the event loop must make progress");
-        // Utilization denominator: device-time existing over [now, next].
-        for p in pools.iter_mut() {
-            p.stats.device_ns += p.devices.active() as u128 * u128::from(next - now);
-        }
         now = next;
     }
 
     debug_assert!(
-        pools.iter().all(|p| p.pending == 0),
+        queued == 0 && pools.iter().all(|p| p.pending == 0 && p.nonempty == 0),
         "all admitted requests must retire"
     );
     let pools = pools
         .into_iter()
         .map(|mut p| {
+            // Utilization denominator: device-time existing up to the
+            // last event.
+            p.settle(now, p.devices.active());
             p.stats.final_devices = p.devices.target();
             p.stats
         })
@@ -555,6 +635,513 @@ fn run_fleet_inner(
         pools,
         makespan_ns: makespan,
     })
+}
+
+/// The event loop as it stood before it was indexed by its events,
+/// moved here verbatim: every iteration retires on every pool, walks
+/// every queue twice and multiplies a `u128` per pool. It is the oracle
+/// [`differential`] compares the loop above with, report for report.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use std::collections::BTreeMap;
+
+    /// One pool's live scheduling state.
+    struct PoolState {
+        devices: DeviceSet,
+        /// Queues indexed `class * kinds + kind`.
+        queues: Vec<VecDeque<Queued>>,
+        pending: usize,
+        min_devices: usize,
+        max_devices: usize,
+        stats: PoolStats,
+    }
+
+    pub(super) fn run_fleet_inner(
+        trace: &FleetTrace,
+        config: &FleetConfig,
+        costs: &[&dyn FleetCost],
+        mut metrics: Option<&mut FleetMetrics>,
+    ) -> Result<FleetReport> {
+        config.validate()?;
+        if costs.len() != config.pools.len() {
+            return Err(ServeError::Config(format!(
+                "{} cost models for {} pools",
+                costs.len(),
+                config.pools.len()
+            )));
+        }
+        if trace.classes() > config.classes.len() {
+            return Err(ServeError::Config(format!(
+                "trace drawn over {} classes but the fleet defines {}",
+                trace.classes(),
+                config.classes.len()
+            )));
+        }
+        let kinds = trace.kinds();
+        let nk = kinds.len();
+        let kind_index = |kind: NetworkKind| -> usize {
+            kinds
+                .iter()
+                .position(|&k| k == kind)
+                .expect("trace request kind not in trace.kinds()")
+        };
+
+        let requests = trace.requests();
+        let mut records: Vec<FleetRecord> = requests
+            .iter()
+            .map(|r| FleetRecord {
+                kind: r.kind,
+                class: r.class,
+                arrival_ns: r.at_ns,
+                outcome: FleetOutcome::Shed {
+                    reason: ShedReason::NoCapacity, // placeholder, always overwritten
+                },
+            })
+            .collect();
+
+        let mut pools: Vec<PoolState> = config
+            .pools
+            .iter()
+            .map(|spec| PoolState {
+                devices: DeviceSet::new(spec.devices),
+                queues: (0..config.classes.len() * nk).map(|_| VecDeque::new()).collect(),
+                pending: 0,
+                min_devices: spec.min_devices,
+                max_devices: spec.max_devices,
+                stats: PoolStats {
+                    name: spec.name.clone(),
+                    batches: 0,
+                    completed: 0,
+                    busy_ns: 0,
+                    device_ns: 0,
+                    energy_j: 0.0,
+                    final_devices: spec.devices,
+                    peak_devices: spec.devices,
+                    grows: 0,
+                    shrinks: 0,
+                },
+            })
+            .collect();
+
+        // Batch costs are pure in (pool, kind, batch); memoize so the
+        // store-backed models are consulted once per distinct query.
+        let mut cost_cache: Vec<BTreeMap<(usize, u32), BatchCost>> = vec![BTreeMap::new(); pools.len()];
+        let mut cost_of = move |pool: usize, kind_idx: usize, kind: NetworkKind, batch: u32| -> Result<BatchCost> {
+            if let Some(&c) = cost_cache[pool].get(&(kind_idx, batch)) {
+                return Ok(c);
+            }
+            let c = costs[pool].batch_cost(kind, batch)?;
+            cost_cache[pool].insert((kind_idx, batch), c);
+            Ok(c)
+        };
+
+        let mut router = Router::new(config.policy);
+        let mut autoscaler = config.autoscale.map(Autoscaler::new);
+        let mut sheds_since_eval = 0u64;
+        let mut next_arrival = 0usize;
+        let mut now = 0u64;
+        let mut makespan = 0u64;
+        let max_batch = config.max_batch as usize;
+
+        loop {
+            // 1. Retire every batch that finished by `now`, pool order.
+            for p in pools.iter_mut() {
+                p.devices.complete_until(now);
+            }
+
+            // 2. Autoscale at evaluation instants.
+            if let Some(scaler) = autoscaler.as_mut() {
+                if scaler.due(now) {
+                    let views: Vec<ScaleView> = pools
+                        .iter()
+                        .map(|p| ScaleView {
+                            pending: p.pending,
+                            idle: p.devices.idle(),
+                            target: p.devices.target(),
+                            min_devices: p.min_devices,
+                            max_devices: p.max_devices,
+                        })
+                        .collect();
+                    let actions = scaler.evaluate(now, &views, sheds_since_eval);
+                    sheds_since_eval = 0;
+                    for (i, action) in actions.into_iter().enumerate() {
+                        let p = &mut pools[i];
+                        match action {
+                            ScaleAction::Hold => continue,
+                            ScaleAction::Grow(n) => {
+                                p.devices.grow(n);
+                                p.stats.grows += 1;
+                            }
+                            ScaleAction::Shrink(n) => {
+                                if p.devices.shrink(n) > 0 {
+                                    p.stats.shrinks += 1;
+                                }
+                            }
+                        }
+                        let target = p.devices.target();
+                        p.stats.peak_devices = p.stats.peak_devices.max(target);
+                        tango_obs::fleet_counter_at(
+                            now,
+                            pool_track_base(i) + DEVICES_TRACK,
+                            "fleet.pool",
+                            "devices",
+                            target as i64,
+                        );
+                        if let Some(m) = metrics.as_deref_mut() {
+                            m.on_scale(now, i, target);
+                        }
+                    }
+                }
+            }
+
+            // 3. Admit (or shed) every arrival due by `now`, trace order.
+            while next_arrival < requests.len() && requests[next_arrival].at_ns <= now {
+                let req = &requests[next_arrival];
+                let k = kind_index(req.kind);
+                // Snapshot the fleet for the router.
+                let mut views = Vec::with_capacity(pools.len());
+                for (i, p) in pools.iter().enumerate() {
+                    let svc = cost_of(i, k, req.kind, 1)?.ns;
+                    let next_free = if p.devices.idle() > 0 {
+                        0
+                    } else {
+                        p.devices.next_completion().map_or(0, |d| d.saturating_sub(now))
+                    };
+                    views.push(PoolView {
+                        pending: p.pending,
+                        idle: p.devices.idle(),
+                        target: p.devices.target(),
+                        next_free_delay_ns: next_free,
+                        service_ns: svc,
+                    });
+                }
+                let slo = config.classes[req.class].slo_ns;
+                if let Some(m) = metrics.as_deref_mut() {
+                    m.on_arrival(req.at_ns, req.class);
+                }
+                records[next_arrival].outcome = match router.place(&views, config.queue_bound, slo) {
+                    Placement::Pool(i) => {
+                        let p = &mut pools[i];
+                        p.queues[req.class * nk + k].push_back(Queued {
+                            record_idx: next_arrival,
+                            at_ns: req.at_ns,
+                        });
+                        p.pending += 1;
+                        tango_obs::fleet_counter_at(
+                            now,
+                            pool_track_base(i) + PENDING_TRACK,
+                            "fleet.queue",
+                            "pending",
+                            p.pending as i64,
+                        );
+                        if let Some(m) = metrics.as_deref_mut() {
+                            m.on_pending(now, i, p.pending);
+                        }
+                        // Overwritten when its batch retires; admitted
+                        // requests always complete (the loop drains queues).
+                        FleetOutcome::Shed {
+                            reason: ShedReason::NoCapacity,
+                        }
+                    }
+                    Placement::Shed(reason) => {
+                        sheds_since_eval += 1;
+                        tango_obs::fleet_instant_at(now, SHED_TRACK, "fleet.shed", reason.name());
+                        if let Some(m) = metrics.as_deref_mut() {
+                            m.on_shed(now, req.class, reason);
+                        }
+                        FleetOutcome::Shed { reason }
+                    }
+                };
+                next_arrival += 1;
+            }
+
+            // 4. Dispatch ready queues onto free devices, pool order. A
+            //    queue is ready when it holds a full batch or its head aged
+            //    past the delay bound; ties prefer higher priority (lower
+            //    class), then the oldest head, then kind order.
+            for (i, p) in pools.iter_mut().enumerate() {
+                while p.devices.peek_free().is_some() {
+                    let ready = p
+                        .queues
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(qi, q)| {
+                            let head = q.front()?;
+                            let full = q.len() >= max_batch;
+                            let aged = now >= head.at_ns.saturating_add(config.max_delay_ns);
+                            (full || aged).then_some((qi / nk, head.at_ns, qi % nk))
+                        })
+                        .min();
+                    let Some((class, _, k)) = ready else { break };
+                    let qi = class * nk + k;
+                    let batch_len = p.queues[qi].len().min(max_batch);
+                    let cost = cost_of(i, k, kinds[k], batch_len as u32)?;
+                    let completed_ns = now + cost.ns.max(1);
+                    let device = p.devices.dispatch(now, completed_ns).expect("peeked free device");
+                    if tango_obs::is_enabled() {
+                        let label = format!("{}x{batch_len}", kinds[k].name());
+                        tango_obs::fleet_span_at(
+                            now,
+                            completed_ns,
+                            pool_track_base(i) + device as u32,
+                            "fleet.batch",
+                            &label,
+                        );
+                    }
+                    for _ in 0..batch_len {
+                        let item = p.queues[qi].pop_front().expect("batch_len items queued");
+                        records[item.record_idx].outcome = FleetOutcome::Completed {
+                            pool: i,
+                            device,
+                            dispatched_ns: now,
+                            completed_ns,
+                            batch: batch_len as u32,
+                        };
+                        if let Some(m) = metrics.as_deref_mut() {
+                            let rec = &records[item.record_idx];
+                            let latency = completed_ns - rec.arrival_ns;
+                            let slo_met = config.classes[rec.class].slo_ns.map(|slo| latency <= slo);
+                            m.on_complete(completed_ns, rec.class, latency, slo_met);
+                        }
+                    }
+                    p.pending -= batch_len;
+                    tango_obs::fleet_counter_at(
+                        now,
+                        pool_track_base(i) + PENDING_TRACK,
+                        "fleet.queue",
+                        "pending",
+                        p.pending as i64,
+                    );
+                    if let Some(m) = metrics.as_deref_mut() {
+                        m.on_pending(now, i, p.pending);
+                        m.on_dispatch(now, i, completed_ns - now, cost.energy_j);
+                    }
+                    p.stats.batches += 1;
+                    p.stats.completed += batch_len as u64;
+                    p.stats.busy_ns += u128::from(completed_ns - now);
+                    p.stats.energy_j += cost.energy_j;
+                    makespan = makespan.max(completed_ns);
+                }
+            }
+
+            // 5. Advance the clock to the next event: an arrival, a
+            //    completion, a queue head aging past the delay bound (when a
+            //    device is idle to take it), or an autoscaler evaluation
+            //    (only while work remains — evaluations alone must not keep
+            //    a finished simulation alive).
+            let mut next = u64::MAX;
+            if next_arrival < requests.len() {
+                next = next.min(requests[next_arrival].at_ns);
+            }
+            let outstanding = next_arrival < requests.len()
+                || pools.iter().any(|p| p.pending > 0 || p.devices.busy() > 0);
+            for p in &pools {
+                if let Some(done_at) = p.devices.next_completion() {
+                    next = next.min(done_at);
+                }
+                if p.devices.idle() > 0 {
+                    for q in &p.queues {
+                        if let Some(head) = q.front() {
+                            next = next.min(head.at_ns.saturating_add(config.max_delay_ns));
+                        }
+                    }
+                }
+            }
+            if let Some(scaler) = &autoscaler {
+                if outstanding {
+                    next = next.min(scaler.next_eval_ns());
+                }
+            }
+            if next == u64::MAX {
+                break;
+            }
+            debug_assert!(next > now, "the event loop must make progress");
+            // Utilization denominator: device-time existing over [now, next].
+            for p in pools.iter_mut() {
+                p.stats.device_ns += p.devices.active() as u128 * u128::from(next - now);
+            }
+            now = next;
+        }
+
+        debug_assert!(
+            pools.iter().all(|p| p.pending == 0),
+            "all admitted requests must retire"
+        );
+        let pools = pools
+            .into_iter()
+            .map(|mut p| {
+                p.stats.final_devices = p.devices.target();
+                p.stats
+            })
+            .collect();
+        Ok(FleetReport {
+            records,
+            pools,
+            makespan_ns: makespan,
+        })
+    }
+}
+
+/// Generated fleets, seeded: the loop above against [`reference`].
+#[cfg(test)]
+mod differential {
+    use super::*;
+    use crate::config::{AutoscaleConfig, ClassSpec, PoolSpec, RoutePolicy};
+    use crate::cost::TableFleetCost;
+    use crate::trace::FleetRequest;
+    use tango_tensor::SplitMix64;
+
+    const KINDS: [NetworkKind; 3] = [NetworkKind::Gru, NetworkKind::CifarNet, NetworkKind::AlexNet];
+
+    struct Case {
+        config: FleetConfig,
+        costs: Vec<TableFleetCost>,
+        trace: FleetTrace,
+    }
+
+    fn between(rng: &mut SplitMix64, lo: u64, hi: u64) -> u64 {
+        lo + rng.below(hi - lo + 1)
+    }
+
+    /// Many requests on one instant, short gaps, and idle stretches
+    /// long enough to drain the fleet and let it scale down.
+    fn hand_built(rng: &mut SplitMix64, kinds: &[NetworkKind], classes: usize, count: usize) -> FleetTrace {
+        let mut at_ns = between(rng, 0, 50);
+        let requests = (0..count)
+            .map(|_| {
+                at_ns += match rng.below(100) {
+                    0..=69 => 0,
+                    70..=97 => between(rng, 1, 600),
+                    _ => between(rng, 100_000, 1_000_000),
+                };
+                FleetRequest {
+                    at_ns,
+                    kind: kinds[rng.below(kinds.len() as u64) as usize],
+                    class: rng.below(classes as u64) as usize,
+                }
+            })
+            .collect();
+        FleetTrace::from_requests(kinds, classes, requests)
+    }
+
+    fn case(seed: u64) -> Case {
+        let rng = &mut SplitMix64::new(seed);
+        let kinds = &KINDS[..between(rng, 1, 3) as usize];
+        let pools: Vec<PoolSpec> = (0..between(rng, 1, 4))
+            .map(|i| {
+                let name = format!("p{i}");
+                match rng.below(4) {
+                    0 => PoolSpec::fixed(&name, between(rng, 1, 3) as usize),
+                    // Starts with nothing: only shed pressure revives it.
+                    1 => PoolSpec::elastic(&name, 0, 0, between(rng, 1, 3) as usize),
+                    _ => {
+                        let min = rng.below(2) as usize;
+                        let max = min + between(rng, 1, 3) as usize;
+                        PoolSpec::elastic(&name, between(rng, min as u64, max as u64) as usize, min, max)
+                    }
+                }
+            })
+            .collect();
+        let costs = pools
+            .iter()
+            .map(|_| {
+                let clock_ghz = [0.25, 0.5, 1.0, 2.0][rng.below(4) as usize];
+                kinds.iter().fold(TableFleetCost::new(clock_ghz), |c, &kind| {
+                    c.with_kind(kind, between(rng, 500, 20_000), between(rng, 0, 1_000))
+                })
+            })
+            .collect();
+        // A one-request service is 0.25–84 µs: the tightest SLO sheds
+        // `slo_infeasible` behind a queue a few deep.
+        let classes: Vec<ClassSpec> = (0..between(rng, 1, 3))
+            .map(|i| match rng.below(3) {
+                0 => ClassSpec::best_effort(&format!("c{i}")),
+                _ => ClassSpec::with_slo(&format!("c{i}"), [15_000, 80_000, 400_000][rng.below(3) as usize]),
+            })
+            .collect();
+        let count = between(rng, 200, 2_000) as usize;
+        let trace_seed = rng.next_u64();
+        let trace = match rng.below(3) {
+            0 => {
+                let trough = rng.below(6) as f64 / 10.0;
+                let (gap, period) = (between(rng, 200, 3_000), between(rng, 50_000, 500_000));
+                FleetTrace::diurnal(kinds, &classes, count, gap, period, trough, trace_seed)
+            }
+            1 => {
+                let (gap, every) = (between(rng, 500, 4_000), between(rng, 50_000, 200_000));
+                let (len, factor) = (between(rng, 5_000, 20_000), between(rng, 2, 8));
+                FleetTrace::bursty(kinds, &classes, count, gap, every, len, factor, trace_seed)
+            }
+            _ => hand_built(rng, kinds, classes.len(), count),
+        };
+        let autoscale = (rng.below(3) > 0).then(|| {
+            let low = between(rng, 0, 2);
+            AutoscaleConfig {
+                interval_ns: between(rng, 1_000, 50_000),
+                high_queue_per_device: low + between(rng, 1, 4),
+                low_queue_per_device: low,
+            }
+        });
+        let config = FleetConfig {
+            pools,
+            classes,
+            queue_bound: between(rng, 1, 64) as usize,
+            max_batch: between(rng, 1, 8) as u32,
+            max_delay_ns: between(rng, 0, 5_000),
+            policy: RoutePolicy::ALL[rng.below(3) as usize],
+            autoscale,
+        };
+        Case { config, costs, trace }
+    }
+
+    #[test]
+    fn a_trace_without_kinds_or_requests_is_an_empty_report() {
+        let config = case(0).config;
+        let costs: Vec<TableFleetCost> = config.pools.iter().map(|_| TableFleetCost::new(1.0)).collect();
+        let costs: Vec<&dyn FleetCost> = costs.iter().map(|c| c as &dyn FleetCost).collect();
+        let trace = FleetTrace::from_requests(&[], config.classes.len(), Vec::new());
+        let got = run_fleet(&trace, &config, &costs).unwrap();
+        assert!(got == reference::run_fleet_inner(&trace, &config, &costs, None).unwrap());
+        assert!(got.records.is_empty() && got.makespan_ns == 0);
+    }
+
+    #[test]
+    fn generated_fleets_replay_exactly_as_the_reference_loop() {
+        let mcfg = FleetMetricsConfig::with_window(25_000);
+        let mut sheds = [0usize; ShedReason::ALL.len()];
+        let (mut completed, mut grows, mut shrinks, mut from_zero) = (0usize, 0u64, 0u64, 0u64);
+        for seed in 0..400u64 {
+            let Case { config, costs, trace } = case(seed);
+            config.validate().unwrap_or_else(|e| panic!("seed {seed}: generator made an invalid fleet: {e}"));
+            let costs: Vec<&dyn FleetCost> = costs.iter().map(|c| c as &dyn FleetCost).collect();
+            let want = reference::run_fleet_inner(&trace, &config, &costs, None).unwrap();
+            let got = run_fleet(&trace, &config, &costs).unwrap();
+            assert!(got == want, "seed {seed}: run_fleet left the reference loop: {config:?}");
+            let (metered, metrics) = run_fleet_metered(&trace, &config, &costs, &mcfg).unwrap();
+            assert!(metered == got, "seed {seed}: run_fleet_metered's report is not run_fleet's: {config:?}");
+            // The hooks fire at the reference's points with its arguments.
+            let mut hooks = FleetMetrics::new(&config, &mcfg);
+            reference::run_fleet_inner(&trace, &config, &costs, Some(&mut hooks)).unwrap();
+            assert!(
+                metrics.render_text("") == hooks.finish().render_text(""),
+                "seed {seed}: metered series differ from the reference loop's: {config:?}"
+            );
+            for (count, reason) in sheds.iter_mut().zip(ShedReason::ALL) {
+                *count += got.shed_by(reason);
+            }
+            completed += got.completed();
+            for (p, spec) in got.pools.iter().zip(&config.pools) {
+                grows += p.grows;
+                shrinks += p.shrinks;
+                from_zero += u64::from(spec.devices == 0 && p.completed > 0);
+            }
+        }
+        // The generator reaches what it claims to.
+        assert!(sheds.iter().all(|&n| n > 1_000), "sheds by reason {sheds:?}");
+        assert!(completed > 100_000 && grows > 1_000 && shrinks > 1_000, "{completed} {grows} {shrinks}");
+        assert!(from_zero > 10, "pools revived from zero that served: {from_zero}");
+    }
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ use crate::config::FleetConfig;
 use crate::router::ShedReason;
 use std::fmt::Write as _;
 use tango_obs::metrics::{
-    escape_label_value, BurnAlert, MetricsRegistry, SloMonitor, SloPolicy, SloReport,
+    escape_label_value, BurnAlert, MetricKind, MetricsRegistry, SeriesId, SloMonitor, SloPolicy, SloReport,
 };
 
 /// Shape of the metrics collection for one fleet run.
@@ -57,22 +57,25 @@ impl FleetMetricsConfig {
 /// Obs track for SLO burn alerts (band 0, next to the shed track).
 pub const SLO_TRACK: u32 = 998;
 
-/// Live metrics state threaded through one engine run.
+/// Live metrics state threaded through one engine run. Every series
+/// a hook can touch is registered up front and updated by handle; a
+/// registered series is exported only once a hook touched it.
 #[derive(Debug)]
 pub struct FleetMetrics {
     registry: MetricsRegistry,
     /// One monitor per class; `None` for best-effort classes.
     monitors: Vec<Option<SloMonitor>>,
-    /// Precomputed per-class series names.
-    requests_name: Vec<String>,
-    latency_name: Vec<String>,
-    /// Precomputed per-pool series names.
-    batches_name: Vec<String>,
-    busy_name: Vec<String>,
-    energy_name: Vec<String>,
-    devices_name: Vec<String>,
-    pending_name: Vec<String>,
-    class_names: Vec<String>,
+    /// Per-class series.
+    requests: Vec<SeriesId>,
+    latency: Vec<SeriesId>,
+    /// Per-class shed counters, indexed by `ShedReason as usize`.
+    shed: Vec<[SeriesId; ShedReason::ALL.len()]>,
+    /// Per-pool series.
+    batches: Vec<SeriesId>,
+    busy: Vec<SeriesId>,
+    energy: Vec<SeriesId>,
+    devices: Vec<SeriesId>,
+    pending: Vec<SeriesId>,
 }
 
 impl FleetMetrics {
@@ -80,7 +83,6 @@ impl FleetMetrics {
     /// device gauges with the starting pool sizes at t=0.
     pub fn new(config: &FleetConfig, mcfg: &FleetMetricsConfig) -> FleetMetrics {
         let mut registry = MetricsRegistry::new("ns", mcfg.window_ns);
-        let class_label = |name: &str| escape_label_value(name);
         let monitors = config
             .classes
             .iter()
@@ -98,55 +100,62 @@ impl FleetMetrics {
                 })
             })
             .collect();
-        let requests_name = config
-            .classes
+        let class_labels: Vec<String> = config.classes.iter().map(|c| escape_label_value(&c.name)).collect();
+        let mut class_series = |stem: &str, kind: MetricKind| -> Vec<SeriesId> {
+            class_labels
+                .iter()
+                .map(|class| registry.series(&format!("{stem}{{class=\"{class}\"}}"), kind))
+                .collect()
+        };
+        let requests = class_series("tango_fleet_requests_total", MetricKind::Counter);
+        let latency = class_series("tango_fleet_latency_ns", MetricKind::Histogram);
+        let shed = class_labels
             .iter()
-            .map(|c| format!("tango_fleet_requests_total{{class=\"{}\"}}", class_label(&c.name)))
+            .map(|class| {
+                ShedReason::ALL.map(|reason| {
+                    let name = format!("tango_fleet_shed_total{{class=\"{class}\",reason=\"{}\"}}", reason.name());
+                    registry.series(&name, MetricKind::Counter)
+                })
+            })
             .collect();
-        let latency_name = config
-            .classes
-            .iter()
-            .map(|c| format!("tango_fleet_latency_ns{{class=\"{}\"}}", class_label(&c.name)))
-            .collect();
-        let pool_series = |stem: &str| -> Vec<String> {
+        let mut pool_series = |stem: &str, kind: MetricKind| -> Vec<SeriesId> {
             config
                 .pools
                 .iter()
-                .map(|p| format!("{stem}{{pool=\"{}\"}}", escape_label_value(&p.name)))
+                .map(|p| registry.series(&format!("{stem}{{pool=\"{}\"}}", escape_label_value(&p.name)), kind))
                 .collect()
         };
-        let devices_name = pool_series("tango_fleet_devices");
-        for (i, p) in config.pools.iter().enumerate() {
-            registry.gauge_set(&devices_name[i], 0, p.devices as i64);
+        let batches = pool_series("tango_fleet_batches_total", MetricKind::Counter);
+        let busy = pool_series("tango_fleet_busy_ns_total", MetricKind::Counter);
+        let energy = pool_series("tango_fleet_energy_uj_total", MetricKind::Counter);
+        let devices = pool_series("tango_fleet_devices", MetricKind::Gauge);
+        let pending = pool_series("tango_fleet_queue_pending", MetricKind::Gauge);
+        for (&id, p) in devices.iter().zip(&config.pools) {
+            registry.gauge_set_id(id, 0, p.devices as i64);
         }
         FleetMetrics {
             registry,
             monitors,
-            requests_name,
-            latency_name,
-            batches_name: pool_series("tango_fleet_batches_total"),
-            busy_name: pool_series("tango_fleet_busy_ns_total"),
-            energy_name: pool_series("tango_fleet_energy_uj_total"),
-            devices_name,
-            pending_name: pool_series("tango_fleet_queue_pending"),
-            class_names: config.classes.iter().map(|c| c.name.clone()).collect(),
+            requests,
+            latency,
+            shed,
+            batches,
+            busy,
+            energy,
+            devices,
+            pending,
         }
     }
 
     /// One request of `class` arrived at `at_ns` (offered load).
     pub fn on_arrival(&mut self, at_ns: u64, class: usize) {
-        self.registry.counter_add(&self.requests_name[class], at_ns, 1);
+        self.registry.counter_add_id(self.requests[class], at_ns, 1);
     }
 
     /// A request of `class` was shed at `now` for `reason`. Sheds of an
     /// SLO class consume error budget.
     pub fn on_shed(&mut self, now: u64, class: usize, reason: ShedReason) {
-        let name = format!(
-            "tango_fleet_shed_total{{class=\"{}\",reason=\"{}\"}}",
-            escape_label_value(&self.class_names[class]),
-            reason.name()
-        );
-        self.registry.counter_add(&name, now, 1);
+        self.registry.counter_add_id(self.shed[class][reason as usize], now, 1);
         if let Some(m) = &mut self.monitors[class] {
             m.record(now, false);
         }
@@ -154,23 +163,23 @@ impl FleetMetrics {
 
     /// Pool `pool`'s queue depth changed to `pending` at `now`.
     pub fn on_pending(&mut self, now: u64, pool: usize, pending: usize) {
-        self.registry.gauge_set(&self.pending_name[pool], now, pending as i64);
+        self.registry.gauge_set_id(self.pending[pool], now, pending as i64);
     }
 
     /// Pool `pool` dispatched a batch at `now`: `busy_ns` of device
     /// time, `energy_j` joules (accounted in integer microjoules).
     pub fn on_dispatch(&mut self, now: u64, pool: usize, busy_ns: u64, energy_j: f64) {
-        self.registry.counter_add(&self.batches_name[pool], now, 1);
-        self.registry.counter_add(&self.busy_name[pool], now, busy_ns);
+        self.registry.counter_add_id(self.batches[pool], now, 1);
+        self.registry.counter_add_id(self.busy[pool], now, busy_ns);
         let uj = (energy_j * 1e6).round().max(0.0) as u64;
-        self.registry.counter_add(&self.energy_name[pool], now, uj);
+        self.registry.counter_add_id(self.energy[pool], now, uj);
     }
 
     /// A request of `class` completed at `completed_ns` with
     /// `latency_ns` end-to-end; `slo_met` is `None` for best-effort
     /// classes.
     pub fn on_complete(&mut self, completed_ns: u64, class: usize, latency_ns: u64, slo_met: Option<bool>) {
-        self.registry.observe(&self.latency_name[class], completed_ns, latency_ns);
+        self.registry.observe_id(self.latency[class], completed_ns, latency_ns);
         if let (Some(m), Some(good)) = (&mut self.monitors[class], slo_met) {
             m.record(completed_ns, good);
         }
@@ -178,7 +187,7 @@ impl FleetMetrics {
 
     /// The autoscaler set pool `pool`'s target to `devices` at `now`.
     pub fn on_scale(&mut self, now: u64, pool: usize, devices: usize) {
-        self.registry.gauge_set(&self.devices_name[pool], now, devices as i64);
+        self.registry.gauge_set_id(self.devices[pool], now, devices as i64);
     }
 
     /// Evaluates the SLO monitors, folds the burn trails and alert
@@ -189,18 +198,16 @@ impl FleetMetrics {
             let report = monitor.finish();
             let class = escape_label_value(&report.policy.objective);
             let window = self.registry.window_width();
+            let [short, long] = ["short", "long"].map(|range| {
+                let name = format!("tango_fleet_slo_burn_milli{{class=\"{class}\",range=\"{range}\"}}");
+                self.registry.series(&name, MetricKind::Gauge)
+            });
             for w in &report.windows {
                 let ts = w.window * window;
-                self.registry.gauge_set(
-                    &format!("tango_fleet_slo_burn_milli{{class=\"{class}\",range=\"short\"}}"),
-                    ts,
-                    w.short_burn_milli.min(i64::MAX as u64) as i64,
-                );
-                self.registry.gauge_set(
-                    &format!("tango_fleet_slo_burn_milli{{class=\"{class}\",range=\"long\"}}"),
-                    ts,
-                    w.long_burn_milli.min(i64::MAX as u64) as i64,
-                );
+                self.registry
+                    .gauge_set_id(short, ts, w.short_burn_milli.min(i64::MAX as u64) as i64);
+                self.registry
+                    .gauge_set_id(long, ts, w.long_burn_milli.min(i64::MAX as u64) as i64);
             }
             for a in &report.alerts {
                 self.registry.counter_add(

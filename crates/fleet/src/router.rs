@@ -166,6 +166,14 @@ mod tests {
     }
 
     #[test]
+    fn all_lists_the_reasons_in_discriminant_order() {
+        // `FleetMetrics` indexes its shed series by `reason as usize`.
+        for (i, reason) in ShedReason::ALL.into_iter().enumerate() {
+            assert_eq!(reason as usize, i, "{}", reason.name());
+        }
+    }
+
+    #[test]
     fn cost_aware_prefers_the_faster_pool_and_breaks_ties_low() {
         let mut r = Router::new(RoutePolicy::CostAware);
         // Pool 1 is idle and fast; pool 0 idle but slow.

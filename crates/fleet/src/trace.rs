@@ -13,6 +13,7 @@
 
 use crate::config::ClassSpec;
 use tango_nets::NetworkKind;
+use tango_serve::KindIndex;
 use tango_tensor::SplitMix64;
 
 /// One fleet request.
@@ -142,18 +143,24 @@ impl FleetTrace {
         }
     }
 
-    /// A hand-written trace (for tests). Requests must be time-sorted
-    /// and class indices within `classes`.
+    /// A hand-written trace (for tests). Requests must be time-sorted,
+    /// class indices within `classes` and kinds within `kinds`.
     ///
     /// # Panics
     ///
-    /// Panics if `requests` is unsorted or a class index is out of range.
+    /// Panics if `requests` is unsorted, a class index is out of range
+    /// or a request asks for a kind that is not in `kinds`.
     pub fn from_requests(kinds: &[NetworkKind], classes: usize, requests: Vec<FleetRequest>) -> Self {
         assert!(
             requests.windows(2).all(|w| w[0].at_ns <= w[1].at_ns),
             "requests must be sorted by time"
         );
         assert!(requests.iter().all(|r| r.class < classes), "class index out of range");
+        let index = KindIndex::new(kinds);
+        assert!(
+            requests.iter().all(|r| index.get(r.kind).is_some()),
+            "request kind not in the trace's kinds"
+        );
         FleetTrace {
             kinds: kinds.to_vec(),
             classes,
@@ -238,6 +245,17 @@ mod tests {
         assert!(frac > 0.5, "burst fraction {frac} too low");
         let again = FleetTrace::bursty(&[NetworkKind::Gru], &classes(), 4000, 2000, 1_000_000, 100_000, 10, 11);
         assert_eq!(t, again);
+    }
+
+    #[test]
+    #[should_panic(expected = "not in the trace's kinds")]
+    fn manual_traces_asking_for_a_foreign_kind_are_rejected() {
+        let foreign = FleetRequest {
+            at_ns: 1,
+            kind: NetworkKind::CifarNet,
+            class: 0,
+        };
+        FleetTrace::from_requests(&[NetworkKind::Gru], 1, vec![foreign]);
     }
 
     #[test]

@@ -26,10 +26,11 @@ mod histogram;
 mod prometheus;
 mod registry;
 mod slo;
+mod windows;
 
 pub use histogram::{LogHistogram, BUCKETS};
 pub use prometheus::validate_exposition;
-pub use registry::{MetricKind, MetricsRegistry};
+pub use registry::{MetricKind, MetricsRegistry, SeriesId};
 pub use slo::{burn_milli, fmt_burn, BurnAlert, BurnSeverity, SloMonitor, SloPolicy, SloReport, SloWindow};
 
 use crate::event::{Domain, Phase};

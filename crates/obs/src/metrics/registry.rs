@@ -3,11 +3,18 @@
 //! A [`MetricsRegistry`] holds named series — counters, gauges, and
 //! [`LogHistogram`]s — bucketed into fixed-width windows of one clock
 //! domain (virtual cycles for the simulator, virtual nanoseconds for
-//! serve/fleet). Everything is integer state in `BTreeMap`s, so every
-//! exporter walks a total order and renders byte-identical output
+//! serve/fleet). Everything is integer state walked in name order and
+//! window order, so every exporter renders byte-identical output
 //! regardless of insertion order or worker count; [`MetricsRegistry::merge`]
 //! is commutative, which is what makes per-worker registries foldable
 //! into one deterministic whole.
+//!
+//! A producer that updates a series per event registers it once
+//! ([`MetricsRegistry::series`]) and updates it by the [`SeriesId`] it
+//! got back: no name is hashed, compared or copied per update, and an
+//! update in the window the series touched last finds its cell without
+//! a search. The `&str` methods are the same updates behind one name
+//! lookup.
 //!
 //! Series names are Prometheus sample names with optional inline
 //! labels, e.g. `tango_fleet_shed_total{reason="slo_infeasible"}`; the
@@ -16,6 +23,7 @@
 //! ([`crate::metrics::validate_exposition`]) verifies the result.
 
 use super::histogram::LogHistogram;
+use super::windows::Windows;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -49,6 +57,16 @@ enum Cell {
 }
 
 impl Cell {
+    /// The cell of `kind` before any sample; a gauge's starts at
+    /// `(ts, 0)`, which its first sample has to beat.
+    fn empty(kind: MetricKind, ts: u64) -> Cell {
+        match kind {
+            MetricKind::Counter => Cell::Counter(0),
+            MetricKind::Gauge => Cell::Gauge { ts, value: 0 },
+            MetricKind::Histogram => Cell::Histogram(Box::default()),
+        }
+    }
+
     fn merge(&mut self, other: &Cell) {
         match (self, other) {
             (Cell::Counter(a), Cell::Counter(b)) => *a = a.saturating_add(*b),
@@ -66,26 +84,29 @@ impl Cell {
     }
 }
 
+/// Handle of one series of the [`MetricsRegistry`] that issued it
+/// ([`MetricsRegistry::series`]); meaningless to any other registry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SeriesId(u32);
+
 #[derive(Debug, Clone)]
 struct Series {
+    name: String,
     kind: MetricKind,
-    /// Window index -> per-window cell. Only touched windows exist.
-    cells: BTreeMap<u64, Cell>,
+    /// Per-window cells; empty until the first update, and a series
+    /// without cells is invisible to every reader and exporter.
+    cells: Windows<Cell>,
     /// Whole-run aggregate across all windows.
     total: Cell,
 }
 
 impl Series {
-    fn new(kind: MetricKind) -> Series {
-        let total = match kind {
-            MetricKind::Counter => Cell::Counter(0),
-            MetricKind::Gauge => Cell::Gauge { ts: 0, value: 0 },
-            MetricKind::Histogram => Cell::Histogram(Box::default()),
-        };
+    fn new(name: &str, kind: MetricKind, window: u64) -> Series {
         Series {
+            name: name.to_string(),
             kind,
-            cells: BTreeMap::new(),
-            total,
+            cells: Windows::new(window),
+            total: Cell::empty(kind, 0),
         }
     }
 }
@@ -95,7 +116,10 @@ impl Series {
 pub struct MetricsRegistry {
     unit: String,
     window: u64,
-    series: BTreeMap<String, Series>,
+    /// Registered series; a [`SeriesId`] indexes here.
+    series: Vec<Series>,
+    /// Every id, in series-name order — the order readers walk.
+    by_name: Vec<SeriesId>,
 }
 
 impl MetricsRegistry {
@@ -106,7 +130,8 @@ impl MetricsRegistry {
         MetricsRegistry {
             unit: unit.to_string(),
             window: window.max(1),
-            series: BTreeMap::new(),
+            series: Vec::new(),
+            by_name: Vec::new(),
         }
     }
 
@@ -120,14 +145,14 @@ impl MetricsRegistry {
         &self.unit
     }
 
-    /// Number of registered series.
+    /// Number of series updated at least once.
     pub fn len(&self) -> usize {
-        self.series.len()
+        self.visible().count()
     }
 
     /// Whether no series has been touched yet.
     pub fn is_empty(&self) -> bool {
-        self.series.is_empty()
+        self.visible().next().is_none()
     }
 
     /// The window index `ts` falls into.
@@ -135,65 +160,142 @@ impl MetricsRegistry {
         ts / self.window
     }
 
-    fn cell(&mut self, name: &str, kind: MetricKind, ts: u64) -> &mut Cell {
-        let series = self
-            .series
-            .entry(name.to_string())
-            .or_insert_with(|| Series::new(kind));
-        assert!(
-            series.kind == kind,
-            "metric {name:?} is a {}, not a {}",
-            series.kind.label(),
-            kind.label()
-        );
-        let w = ts / self.window;
-        series.cells.entry(w).or_insert_with(|| match kind {
-            MetricKind::Counter => Cell::Counter(0),
-            MetricKind::Gauge => Cell::Gauge { ts, value: 0 },
-            MetricKind::Histogram => Cell::Histogram(Box::default()),
-        })
+    /// Where `name` sits in `by_name`, or where it would be inserted.
+    fn position(&self, name: &str) -> Result<usize, usize> {
+        self.by_name
+            .binary_search_by(|id| self.series[id.0 as usize].name.as_str().cmp(name))
     }
 
-    /// Adds `delta` to counter `name` in the window containing `ts`.
+    /// Updated series, in name order.
+    fn visible(&self) -> impl Iterator<Item = &Series> {
+        self.by_name
+            .iter()
+            .map(|id| &self.series[id.0 as usize])
+            .filter(|s| !s.cells.is_empty())
+    }
+
+    fn find(&self, name: &str) -> Option<&Series> {
+        let id = self.by_name[self.position(name).ok()?];
+        Some(&self.series[id.0 as usize]).filter(|s| !s.cells.is_empty())
+    }
+
+    fn register(&mut self, at: usize, name: &str, kind: MetricKind) -> SeriesId {
+        let id = SeriesId(u32::try_from(self.series.len()).expect("fewer than 2^32 series"));
+        self.series.push(Series::new(name, kind, self.window));
+        self.by_name.insert(at, id);
+        id
+    }
+
+    /// The handle of series `name`, registering it on first sight. A
+    /// registered series shows up in readers and exporters from its
+    /// first update on, so reserving a handle changes no output.
     ///
     /// # Panics
     ///
     /// Panics when `name` already exists with a different kind — a
     /// metric-name collision is a programming error, not data.
-    pub fn counter_add(&mut self, name: &str, ts: u64, delta: u64) {
-        if let Cell::Counter(v) = self.cell(name, MetricKind::Counter, ts) {
-            *v = v.saturating_add(delta);
-        }
-        if let Cell::Counter(v) = &mut self.series.get_mut(name).expect("series exists").total {
-            *v = v.saturating_add(delta);
+    pub fn series(&mut self, name: &str, kind: MetricKind) -> SeriesId {
+        match self.position(name) {
+            Ok(i) => {
+                let id = self.by_name[i];
+                let existing = self.series[id.0 as usize].kind;
+                assert!(
+                    existing == kind,
+                    "metric {name:?} is a {}, not a {}",
+                    existing.label(),
+                    kind.label()
+                );
+                id
+            }
+            Err(i) => self.register(i, name, kind),
         }
     }
 
-    /// Sets gauge `name` to `value` at `ts`. Within a window (and for
+    /// The cell of `id` in the window containing `ts`, and its total.
+    fn touch(&mut self, id: SeriesId, kind: MetricKind, ts: u64) -> [&mut Cell; 2] {
+        let series = &mut self.series[id.0 as usize];
+        assert!(
+            series.kind == kind,
+            "metric {:?} is a {}, not a {}",
+            series.name,
+            series.kind.label(),
+            kind.label()
+        );
+        let cell = series.cells.at(ts, || Cell::empty(kind, ts));
+        [cell, &mut series.total]
+    }
+
+    /// Adds `delta` to counter `id` in the window containing `ts`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` is not a counter of this registry.
+    pub fn counter_add_id(&mut self, id: SeriesId, ts: u64, delta: u64) {
+        for cell in self.touch(id, MetricKind::Counter, ts) {
+            if let Cell::Counter(v) = cell {
+                *v = v.saturating_add(delta);
+            }
+        }
+    }
+
+    /// Sets gauge `id` to `value` at `ts`. Within a window (and for
     /// the run total) the sample with the largest `(ts, value)` wins.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` is not a gauge of this registry.
+    pub fn gauge_set_id(&mut self, id: SeriesId, ts: u64, value: i64) {
+        let sample = Cell::Gauge { ts, value };
+        for cell in self.touch(id, MetricKind::Gauge, ts) {
+            cell.merge(&sample);
+        }
+    }
+
+    /// Records one observation of `value` into histogram `id` in the
+    /// window containing `ts`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` is not a histogram of this registry.
+    pub fn observe_id(&mut self, id: SeriesId, ts: u64, value: u64) {
+        for cell in self.touch(id, MetricKind::Histogram, ts) {
+            if let Cell::Histogram(h) = cell {
+                h.observe(value);
+            }
+        }
+    }
+
+    /// [`counter_add_id`](Self::counter_add_id) on the series called
+    /// `name`, registered on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `name` already exists with a different kind.
+    pub fn counter_add(&mut self, name: &str, ts: u64, delta: u64) {
+        let id = self.series(name, MetricKind::Counter);
+        self.counter_add_id(id, ts, delta);
+    }
+
+    /// [`gauge_set_id`](Self::gauge_set_id) on the series called
+    /// `name`, registered on first use.
     ///
     /// # Panics
     ///
     /// Panics when `name` already exists with a different kind.
     pub fn gauge_set(&mut self, name: &str, ts: u64, value: i64) {
-        let sample = Cell::Gauge { ts, value };
-        self.cell(name, MetricKind::Gauge, ts).merge(&sample);
-        self.series.get_mut(name).expect("series exists").total.merge(&sample);
+        let id = self.series(name, MetricKind::Gauge);
+        self.gauge_set_id(id, ts, value);
     }
 
-    /// Records one observation of `value` into histogram `name` in the
-    /// window containing `ts`.
+    /// [`observe_id`](Self::observe_id) on the series called `name`,
+    /// registered on first use.
     ///
     /// # Panics
     ///
     /// Panics when `name` already exists with a different kind.
     pub fn observe(&mut self, name: &str, ts: u64, value: u64) {
-        if let Cell::Histogram(h) = self.cell(name, MetricKind::Histogram, ts) {
-            h.observe(value);
-        }
-        if let Cell::Histogram(h) = &mut self.series.get_mut(name).expect("series exists").total {
-            h.observe(value);
-        }
+        let id = self.series(name, MetricKind::Histogram);
+        self.observe_id(id, ts, value);
     }
 
     /// Folds `other` into `self`. Counters add, histograms merge,
@@ -214,11 +316,13 @@ impl MetricsRegistry {
         if self.unit != other.unit {
             return Err(format!("unit mismatch: {:?} vs {:?}", self.unit, other.unit));
         }
-        for (name, theirs) in &other.series {
-            let mine = self
-                .series
-                .entry(name.clone())
-                .or_insert_with(|| Series::new(theirs.kind));
+        for theirs in other.visible() {
+            let name = &theirs.name;
+            let id = match self.position(name) {
+                Ok(i) => self.by_name[i],
+                Err(i) => self.register(i, name, theirs.kind),
+            };
+            let mine = &mut self.series[id.0 as usize];
             if mine.kind != theirs.kind {
                 return Err(format!(
                     "metric {name:?} is a {} on one side and a {} on the other",
@@ -226,12 +330,14 @@ impl MetricsRegistry {
                     theirs.kind.label()
                 ));
             }
-            for (w, cell) in &theirs.cells {
-                match mine.cells.get_mut(w) {
-                    Some(existing) => existing.merge(cell),
-                    None => {
-                        mine.cells.insert(*w, cell.clone());
-                    }
+            for (w, cell) in theirs.cells.iter() {
+                let mut fresh = false;
+                let existing = mine.cells.window(w, || {
+                    fresh = true;
+                    cell.clone()
+                });
+                if !fresh {
+                    existing.merge(cell);
                 }
             }
             mine.total.merge(&theirs.total);
@@ -239,14 +345,14 @@ impl MetricsRegistry {
         Ok(())
     }
 
-    /// The kind of series `name`, if registered.
+    /// The kind of series `name`, if it has been updated.
     pub fn kind(&self, name: &str) -> Option<MetricKind> {
-        self.series.get(name).map(|s| s.kind)
+        self.find(name).map(|s| s.kind)
     }
 
     /// Run-total of counter `name`, if registered as a counter.
     pub fn counter_total(&self, name: &str) -> Option<u64> {
-        match self.series.get(name)?.total {
+        match self.find(name)?.total {
             Cell::Counter(v) => Some(v),
             _ => None,
         }
@@ -254,7 +360,7 @@ impl MetricsRegistry {
 
     /// Final value of gauge `name`, if registered as a gauge.
     pub fn gauge_last(&self, name: &str) -> Option<i64> {
-        match self.series.get(name)?.total {
+        match self.find(name)?.total {
             Cell::Gauge { value, .. } => Some(value),
             _ => None,
         }
@@ -262,28 +368,22 @@ impl MetricsRegistry {
 
     /// Run-total histogram of `name`, if registered as a histogram.
     pub fn histogram_total(&self, name: &str) -> Option<&LogHistogram> {
-        match &self.series.get(name)?.total {
+        match &self.find(name)?.total {
             Cell::Histogram(h) => Some(h),
             _ => None,
         }
     }
 
-    /// Names of all registered series, in sorted order.
+    /// Names of all updated series, in sorted order.
     pub fn names(&self) -> Vec<&str> {
-        self.series.keys().map(String::as_str).collect()
+        self.visible().map(|s| s.name.as_str()).collect()
     }
 
     /// Range `[first, last]` of touched window indices, or `None` when
     /// the registry is empty.
     pub fn window_range(&self) -> Option<(u64, u64)> {
         let mut range: Option<(u64, u64)> = None;
-        for series in self.series.values() {
-            let (Some(first), Some(last)) = (
-                series.cells.keys().next().copied(),
-                series.cells.keys().next_back().copied(),
-            ) else {
-                continue;
-            };
+        for (first, last) in self.visible().filter_map(|s| s.cells.span()) {
             range = Some(match range {
                 None => (first, last),
                 Some((lo, hi)) => (lo.min(first), hi.max(last)),
@@ -322,9 +422,10 @@ impl MetricsRegistry {
             self.unit,
             self.window,
             windows,
-            self.series.len()
+            self.len()
         );
-        for (name, series) in &self.series {
+        for series in self.visible() {
+            let name = &series.name;
             let _ = writeln!(out);
             match &series.total {
                 Cell::Counter(v) => {
@@ -337,7 +438,7 @@ impl MetricsRegistry {
                     let _ = writeln!(out, "histogram {name}  {}", Self::hist_line(h));
                 }
             }
-            for (w, cell) in &series.cells {
+            for (w, cell) in series.cells.iter() {
                 let start = w * self.window;
                 match cell {
                     Cell::Counter(v) => {
@@ -376,8 +477,8 @@ impl MetricsRegistry {
             e
         };
         let tag = esc(tag);
-        for (name, series) in &self.series {
-            let name_esc = esc(name);
+        for series in self.visible() {
+            let name_esc = esc(&series.name);
             let head = |w: &str| {
                 format!(
                     "{{\"series\":\"{tag}\",\"unit\":\"{}\",\"window_width\":{},\"name\":\"{name_esc}\",\"kind\":\"{}\",\"window\":{w}",
@@ -405,7 +506,7 @@ impl MetricsRegistry {
                     )
                 }
             };
-            for (w, cell) in &series.cells {
+            for (w, cell) in series.cells.iter() {
                 out.push_str(&head(&w.to_string()));
                 let start = w * self.window;
                 let _ = write!(out, ",\"start\":{start}");
@@ -427,7 +528,8 @@ impl MetricsRegistry {
     pub fn prometheus_text(&self) -> String {
         // family -> [(label part incl. braces, series)]
         let mut families: BTreeMap<&str, Vec<(&str, &Series)>> = BTreeMap::new();
-        for (name, series) in &self.series {
+        for series in self.visible() {
+            let name = &series.name;
             let (family, labels) = match name.find('{') {
                 Some(i) => (&name[..i], &name[i..]),
                 None => (name.as_str(), ""),
@@ -549,6 +651,194 @@ mod tests {
         let mut r = MetricsRegistry::new("ns", 10);
         r.counter_add("x", 0, 1);
         r.gauge_set("x", 0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "is a counter, not a gauge")]
+    fn kind_collision_panics_by_handle_too() {
+        let mut r = MetricsRegistry::new("ns", 10);
+        let id = r.series("x", MetricKind::Counter);
+        r.gauge_set_id(id, 0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "is a counter, not a histogram")]
+    fn registering_a_taken_name_as_another_kind_panics() {
+        let mut r = MetricsRegistry::new("ns", 10);
+        r.series("x", MetricKind::Counter);
+        r.series("x", MetricKind::Histogram);
+    }
+
+    #[test]
+    fn a_registered_series_is_invisible_until_its_first_update() {
+        let mut r = MetricsRegistry::new("ns", 10);
+        let id = r.series("b_total", MetricKind::Counter);
+        assert_eq!(r.series("b_total", MetricKind::Counter), id, "registration is idempotent");
+        assert!(r.is_empty());
+        assert_eq!((r.len(), r.names(), r.kind("b_total"), r.counter_total("b_total")), (0, vec![], None, None));
+        assert_eq!(r.window_range(), None);
+        assert_eq!(r.snapshot_jsonl("x") + &r.prometheus_text(), "");
+        r.counter_add("a_total", 5, 1);
+        let before = r.render_text("t");
+        assert!(!before.contains("b_total") && before.contains("series 1"), "{before}");
+        // Merging it in, or into it, moves nothing either.
+        let mut other = MetricsRegistry::new("ns", 10);
+        other.merge(&r).unwrap();
+        assert_eq!(other.render_text("t"), before);
+        r.counter_add_id(id, 25, 2);
+        assert_eq!(r.names(), vec!["a_total", "b_total"]);
+        assert_eq!(r.counter_total("b_total"), Some(2));
+        assert_eq!(r.window_range(), Some((0, 2)));
+    }
+
+    /// One update of a seeded stream.
+    #[derive(Clone, Copy)]
+    enum Sample {
+        Add(u64),
+        Set(i64),
+        Observe(u64),
+    }
+
+    /// The registry as it was first written, in miniature: one ordered
+    /// map keyed by `(name, window)` plus the totals, every update a
+    /// lookup by name. A window's first gauge sample competes with
+    /// `(its ts, 0)` and the total's with `(0, 0)`, as they always have.
+    #[derive(Default)]
+    struct Model {
+        cells: BTreeMap<(String, u64), Cell>,
+        totals: BTreeMap<String, Cell>,
+    }
+
+    impl Model {
+        fn update(&mut self, window: u64, name: &str, ts: u64, sample: Sample) {
+            let fresh = |ts| match sample {
+                Sample::Add(_) => Cell::Counter(0),
+                Sample::Set(_) => Cell::Gauge { ts, value: 0 },
+                Sample::Observe(_) => Cell::Histogram(Box::default()),
+            };
+            let cell = self.cells.entry((name.to_string(), ts / window)).or_insert_with(|| fresh(ts));
+            let total = self.totals.entry(name.to_string()).or_insert_with(|| fresh(0));
+            for cell in [cell, total] {
+                match (cell, sample) {
+                    (Cell::Counter(v), Sample::Add(delta)) => *v = v.saturating_add(delta),
+                    (cell @ Cell::Gauge { .. }, Sample::Set(value)) => cell.merge(&Cell::Gauge { ts, value }),
+                    (Cell::Histogram(h), Sample::Observe(value)) => h.observe(value),
+                    _ => unreachable!("the stream keeps one kind per name"),
+                }
+            }
+        }
+    }
+
+    /// A seeded stream over six series whose names share long prefixes:
+    /// timestamps wander forwards and backwards, sit on both sides of
+    /// window boundaries, and the series interleave.
+    fn stream(seed: u64, window: u64, len: usize) -> Vec<(usize, u64, Sample)> {
+        let mut rng = seed;
+        let mut next = move |below: u64| {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (rng >> 33) % below
+        };
+        let mut clock = 3 * window;
+        (0..len)
+            .map(|_| {
+                clock += next(window / 2 + 1);
+                let ts = match next(6) {
+                    0 => (clock / window) * window,
+                    1 => (clock / window) * window - 1,
+                    2 => clock.saturating_sub(next(2 * window)),
+                    3 => clock + next(2 * window),
+                    _ => clock,
+                };
+                let series = next(6) as usize;
+                let sample = match series % 3 {
+                    0 => Sample::Add(next(5)),
+                    1 => Sample::Set(next(9) as i64 - 3),
+                    _ => Sample::Observe(next(1 << 20)),
+                };
+                (series, ts, sample)
+            })
+            .collect()
+    }
+
+    const NAMES: [&str; 6] = [
+        "tango_fleet_requests_total{class=\"interactive\"}",
+        "tango_fleet_queue_pending{pool=\"fast\"}",
+        "tango_fleet_latency_ns{class=\"interactive\"}",
+        "tango_fleet_requests_total{class=\"batch\"}",
+        "tango_fleet_queue_pending{pool=\"mid\"}",
+        "tango_fleet_latency_ns{class=\"batch\"}",
+    ];
+    const KINDS: [MetricKind; 3] = [MetricKind::Counter, MetricKind::Gauge, MetricKind::Histogram];
+
+    /// Feeds `stream` into `r`, by handle or by name as `by_name` says
+    /// for each update.
+    fn feed(r: &mut MetricsRegistry, stream: &[(usize, u64, Sample)], by_name: impl Fn(usize) -> bool) {
+        let ids: Vec<SeriesId> = (0..6).map(|s| r.series(NAMES[s], KINDS[s % 3])).collect();
+        for (i, &(series, ts, sample)) in stream.iter().enumerate() {
+            match (sample, by_name(i)) {
+                (Sample::Add(delta), true) => r.counter_add(NAMES[series], ts, delta),
+                (Sample::Add(delta), false) => r.counter_add_id(ids[series], ts, delta),
+                (Sample::Set(value), true) => r.gauge_set(NAMES[series], ts, value),
+                (Sample::Set(value), false) => r.gauge_set_id(ids[series], ts, value),
+                (Sample::Observe(value), true) => r.observe(NAMES[series], ts, value),
+                (Sample::Observe(value), false) => r.observe_id(ids[series], ts, value),
+            }
+        }
+    }
+
+    #[test]
+    fn handle_and_name_updates_match_the_naive_model() {
+        for seed in 0..40u64 {
+            let window = [1, 7, 100, 4096][seed as usize % 4];
+            let stream = stream(seed, window, 3_000);
+            let mut model = Model::default();
+            for &(series, ts, sample) in &stream {
+                model.update(window, NAMES[series], ts, sample);
+            }
+            // Handles only, names only, and the two mixed on every series.
+            let pickers: [fn(usize) -> bool; 3] = [|_| false, |_| true, |i| i % 3 == 0];
+            let mut renders = Vec::new();
+            for by_name in pickers {
+                let mut r = MetricsRegistry::new("ns", window);
+                feed(&mut r, &stream, by_name);
+                assert_eq!(r.names(), model.totals.keys().map(String::as_str).collect::<Vec<_>>(), "seed {seed}");
+                let cells: Vec<((String, u64), Cell)> = r
+                    .visible()
+                    .flat_map(|s| s.cells.iter().map(|(w, cell)| ((s.name.clone(), w), cell.clone())))
+                    .collect();
+                assert!(cells.into_iter().eq(model.cells.clone()), "seed {seed}: window cells differ");
+                let totals = r.visible().map(|s| (s.name.clone(), s.total.clone()));
+                assert!(totals.eq(model.totals.clone()), "seed {seed}: totals differ");
+                renders.push(r.render_text("t") + &r.snapshot_jsonl("t") + &r.prometheus_text());
+            }
+            assert!(renders.windows(2).all(|w| w[0] == w[1]), "seed {seed}: renders differ");
+        }
+    }
+
+    #[test]
+    fn merge_order_changes_no_exported_byte() {
+        for seed in 0..20u64 {
+            let window = [1, 7, 100, 4096][seed as usize % 4];
+            let shards: Vec<MetricsRegistry> = (0..3)
+                .map(|k| {
+                    let mut r = MetricsRegistry::new("ns", window);
+                    feed(&mut r, &stream(seed * 3 + k, window, 1_000), |i| i % 2 == 0);
+                    r
+                })
+                .collect();
+            let export = |order: [usize; 3]| {
+                let mut all = MetricsRegistry::new("ns", window);
+                all.series("tango_reserved_never_touched", MetricKind::Gauge);
+                for k in order {
+                    all.merge(&shards[k]).unwrap();
+                }
+                [all.render_text("m"), all.snapshot_jsonl("m"), all.prometheus_text()]
+            };
+            let forwards = export([0, 1, 2]);
+            assert_eq!(forwards, export([2, 1, 0]), "seed {seed}");
+            assert_eq!(forwards, export([1, 2, 0]), "seed {seed}");
+            crate::metrics::validate_exposition(&forwards[2]).unwrap();
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! thresholds: 14400 milli = 14.4×), so evaluation is deterministic and
 //! the rendered report byte-stable.
 
-use std::collections::BTreeMap;
+use super::windows::Windows;
 use std::fmt::Write as _;
 
 /// An SLO objective plus its burn-rate alert thresholds.
@@ -224,7 +224,7 @@ pub struct SloMonitor {
     policy: SloPolicy,
     window: u64,
     /// window index -> (good, bad).
-    cells: BTreeMap<u64, (u64, u64)>,
+    cells: Windows<(u64, u64)>,
 }
 
 impl SloMonitor {
@@ -240,7 +240,7 @@ impl SloMonitor {
         SloMonitor {
             policy,
             window: window.max(1),
-            cells: BTreeMap::new(),
+            cells: Windows::new(window),
         }
     }
 
@@ -251,7 +251,7 @@ impl SloMonitor {
 
     /// Records one event at `ts`: `good` means the objective was met.
     pub fn record(&mut self, ts: u64, good: bool) {
-        let cell = self.cells.entry(ts / self.window).or_insert((0, 0));
+        let cell = self.cells.at(ts, || (0, 0));
         if good {
             cell.0 = cell.0.saturating_add(1);
         } else {
@@ -263,7 +263,7 @@ impl SloMonitor {
     fn range_totals(&self, lo: u64, hi: u64) -> (u64, u64) {
         let mut good = 0u64;
         let mut bad = 0u64;
-        for (_, &(g, b)) in self.cells.range(lo..=hi) {
+        for &(g, b) in self.cells.range(lo, hi) {
             good = good.saturating_add(g);
             bad = bad.saturating_add(b);
         }
@@ -280,12 +280,9 @@ impl SloMonitor {
         let mut windows = Vec::new();
         let mut alerts = Vec::new();
         let mut active: Option<BurnSeverity> = None;
-        if let (Some(&first), Some(&last)) = (
-            self.cells.keys().next(),
-            self.cells.keys().next_back(),
-        ) {
+        if let Some((first, last)) = self.cells.span() {
             for w in first..=last {
-                let (g, b) = self.cells.get(&w).copied().unwrap_or((0, 0));
+                let (g, b) = self.cells.get(w).copied().unwrap_or((0, 0));
                 good_total = good_total.saturating_add(g);
                 bad_total = bad_total.saturating_add(b);
                 let lo_short = w.saturating_sub(self.policy.short_windows - 1);

@@ -21,6 +21,7 @@ use crate::error::Result;
 use crate::metrics::LatencySummary;
 use crate::policy::ServeConfig;
 use crate::pool::DeviceSet;
+use crate::tables::{CostTable, KindIndex};
 use crate::trace::ArrivalTrace;
 use std::collections::VecDeque;
 use tango_nets::NetworkKind;
@@ -100,8 +101,7 @@ impl ServeReport {
 
     /// Latency summary over completed requests (`None` if none did).
     pub fn latency_summary(&self) -> Option<LatencySummary> {
-        let latencies: Vec<u64> = self.records.iter().filter_map(|r| r.latency()).collect();
-        LatencySummary::from_latencies(&latencies)
+        LatencySummary::from_latencies(self.records.iter().filter_map(|r| r.latency()).collect())
     }
 
     /// Completed requests per million cycles of makespan.
@@ -140,12 +140,9 @@ const QUEUE_TRACK_BASE: u32 = 1000;
 pub fn run_trace(trace: &ArrivalTrace, config: &ServeConfig, cost: &dyn CostModel) -> Result<ServeReport> {
     config.validate()?;
     let kinds = trace.kinds();
-    let kind_index = |kind: NetworkKind| -> usize {
-        kinds
-            .iter()
-            .position(|&k| k == kind)
-            .expect("trace arrival kind not in trace.kinds()")
-    };
+    let kind_index = KindIndex::new(kinds);
+    // Batch cycles are pure in (kind, batch): ask the model once each.
+    let mut costs: CostTable<u64> = CostTable::new(kinds.len());
 
     let arrivals = trace.arrivals();
     let mut records: Vec<RequestRecord> = arrivals
@@ -176,7 +173,7 @@ pub fn run_trace(trace: &ArrivalTrace, config: &ServeConfig, cost: &dyn CostMode
         // 2. Admit (or shed) every arrival due by `now`, in trace order.
         while next_arrival < arrivals.len() && arrivals[next_arrival].at_cycle <= now {
             let arrival = &arrivals[next_arrival];
-            let k = kind_index(arrival.kind);
+            let k = kind_index.get(arrival.kind).expect("a trace holds only its own kinds");
             let qtrack = QUEUE_TRACK_BASE + k as u32;
             let queue = &mut queues[k];
             records[next_arrival].outcome = if queue.len() >= config.queue_bound {
@@ -225,7 +222,7 @@ pub fn run_trace(trace: &ArrivalTrace, config: &ServeConfig, cost: &dyn CostMode
             let Some((_, k)) = ready else { break };
             let queue = &mut queues[k];
             let batch_len = queue.len().min(max_batch);
-            let exec = cost.batch_cycles(kinds[k], batch_len as u32)?;
+            let exec = costs.get(k, batch_len as u32, || cost.batch_cycles(kinds[k], batch_len as u32))?;
             let completed = now + exec.max(1);
             let device = devices.dispatch(now, completed).expect("peeked free device");
             let qtrack = QUEUE_TRACK_BASE + k as u32;
@@ -405,6 +402,47 @@ mod tests {
         assert_eq!(four.completed(), 200);
         assert!(four.makespan < one.makespan, "4 devices must finish sooner");
         assert!(four.throughput_per_mcycle() > one.throughput_per_mcycle());
+    }
+
+    /// Digests of `{report:?}` recorded at the commit before the per-run
+    /// cost table and the `Vec`-backed `DeviceSet`: every record, the
+    /// makespan and the batch count of 2 traces × 3 configs, each beside
+    /// its shed count.
+    #[test]
+    fn reports_match_the_recorded_digests() {
+        const RECORDED: [(u64, usize); 6] = [
+            (0xe49e_048b_8297_86ad, 0),
+            (0xaf14_8fb0_b512_d14a, 850),
+            (0xde51_3fbe_e855_d136, 0),
+            (0x4d83_8af2_1b14_24e4, 64),
+            (0x804b_6cca_ddb1_c85c, 2_789),
+            (0x77d3_5310_43a3_91ff, 754),
+        ];
+        let fnv = |text: &str| {
+            text.bytes()
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+        };
+        let kinds = [GRU, NetworkKind::CifarNet];
+        let cost = TableCostModel::new()
+            .with_kind(GRU, 8_000, 400)
+            .with_kind(NetworkKind::CifarNet, 20_000, 1_000);
+        // Offered load 0.7 of two devices' unbatched capacity, and an
+        // overload not even full batches carry.
+        let traces = [
+            ArrivalTrace::open_loop(&kinds, 3_000, 10_500, 4, 0x5eed),
+            ArrivalTrace::open_loop(&kinds, 3_000, 1_000, 4, 0x5eed ^ 2),
+        ];
+        // The benchmark's shape; one unbatched device behind a 4-deep
+        // queue (sheds on both traces); four devices, partial batches.
+        let configs = [config(2, 256, 8, 3_675), config(1, 4, 1, 0), config(4, 16, 3, 50_000)];
+        let mut digests = Vec::new();
+        for trace in &traces {
+            for cfg in &configs {
+                let report = run_trace(trace, cfg, &cost).unwrap();
+                digests.push((fnv(&format!("{report:?}")), report.shed()));
+            }
+        }
+        assert_eq!(digests, RECORDED, "actual (digest, shed): {digests:#x?}");
     }
 
     #[test]

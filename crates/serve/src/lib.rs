@@ -43,6 +43,7 @@ mod policy;
 /// Deterministic device pools with drain-aware grow/shrink.
 pub mod pool;
 mod service;
+mod tables;
 mod trace;
 
 pub use cost::{BatchCost, CostModel, SimCostModel, TableCostModel};
@@ -52,4 +53,5 @@ pub use metrics::{percentile, serve_metrics, LatencySummary};
 pub use policy::{BatchPolicy, ServeConfig};
 pub use pool::DeviceSet;
 pub use service::{InferenceReply, Service, ServiceConfig, Ticket};
+pub use tables::{CostTable, KindIndex};
 pub use trace::{Arrival, ArrivalTrace};

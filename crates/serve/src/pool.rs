@@ -17,19 +17,22 @@
 //! device assignments — byte-determinism lives or dies here.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// A pool of interchangeable devices: free ones handed out
 /// lowest-id-first, busy ones retired in completion-time order, with
 /// deterministic grow/shrink-with-drain semantics.
 #[derive(Debug, Clone, Default)]
 pub struct DeviceSet {
-    /// Idle devices, dispatched lowest-id-first.
-    free: BTreeSet<usize>,
+    /// Idle device ids, descending: the lowest id, which dispatches
+    /// first, pops off the end. A pool is a handful of devices, so a
+    /// sorted `Vec` beats a tree and never frees its storage as the
+    /// pool drains and refills.
+    free: Vec<usize>,
     /// Busy devices by `(completion_time, id)`.
     busy: BinaryHeap<Reverse<(u64, usize)>>,
     /// Busy devices that leave the set when their batch completes.
-    retiring: BTreeSet<usize>,
+    retiring: Vec<usize>,
     /// Device ids ever minted (grow never reuses an id).
     minted: usize,
     /// Total busy device-time accumulated by dispatches.
@@ -40,9 +43,9 @@ impl DeviceSet {
     /// A set of `devices` idle devices with ids `0..devices`.
     pub fn new(devices: usize) -> Self {
         DeviceSet {
-            free: (0..devices).collect(),
+            free: (0..devices).rev().collect(),
             busy: BinaryHeap::new(),
-            retiring: BTreeSet::new(),
+            retiring: Vec::new(),
             minted: devices,
             busy_time: 0,
         }
@@ -71,7 +74,7 @@ impl DeviceSet {
 
     /// The id the next [`dispatch`](Self::dispatch) would hand out.
     pub fn peek_free(&self) -> Option<usize> {
-        self.free.first().copied()
+        self.free.last().copied()
     }
 
     /// Claims the lowest-id idle device for a batch running over
@@ -83,7 +86,7 @@ impl DeviceSet {
     /// starts).
     pub fn dispatch(&mut self, now: u64, done_at: u64) -> Option<usize> {
         assert!(done_at >= now, "batch completes before it starts");
-        let id = self.free.pop_first()?;
+        let id = self.free.pop()?;
         self.busy.push(Reverse((done_at, id)));
         self.busy_time += u128::from(done_at - now);
         Some(id)
@@ -104,10 +107,12 @@ impl DeviceSet {
                 break;
             }
             self.busy.pop();
-            if self.retiring.remove(&id) {
+            if let Some(at) = self.retiring.iter().position(|&r| r == id) {
+                self.retiring.remove(at);
                 retired += 1;
             } else {
-                self.free.insert(id);
+                let at = self.free.iter().position(|&f| f < id).unwrap_or(self.free.len());
+                self.free.insert(at, id);
             }
         }
         retired
@@ -118,7 +123,8 @@ impl DeviceSet {
     /// trace track).
     pub fn grow(&mut self, n: usize) {
         for _ in 0..n {
-            self.free.insert(self.minted);
+            // A fresh id is the highest ever minted: it sorts first.
+            self.free.insert(0, self.minted);
             self.minted += 1;
         }
     }
@@ -135,7 +141,8 @@ impl DeviceSet {
                 break;
             }
             // An idle device leaves instantly, highest id first.
-            if self.free.pop_last().is_some() {
+            if !self.free.is_empty() {
+                self.free.remove(0);
                 scheduled += 1;
                 continue;
             }
@@ -150,7 +157,7 @@ impl DeviceSet {
                 .max();
             match candidate {
                 Some(id) => {
-                    self.retiring.insert(id);
+                    self.retiring.push(id);
                     scheduled += 1;
                 }
                 None => break,
@@ -168,6 +175,8 @@ impl DeviceSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+    use tango_tensor::SplitMix64;
 
     #[test]
     fn dispatch_is_lowest_id_first_and_completion_ordered() {
@@ -230,6 +239,111 @@ mod tests {
         assert_eq!(set.active(), 0);
         assert_eq!(set.next_completion(), None);
         assert_eq!(set.dispatch(31, 40), None, "no devices remain");
+    }
+
+    /// The set as it was first written — ordered sets for the idle and
+    /// retiring ids — kept as the model the `Vec`s must agree with.
+    #[derive(Default)]
+    struct Model {
+        free: BTreeSet<usize>,
+        busy: BTreeSet<(u64, usize)>,
+        retiring: BTreeSet<usize>,
+        minted: usize,
+        busy_time: u128,
+    }
+
+    impl Model {
+        fn dispatch(&mut self, now: u64, done_at: u64) -> Option<usize> {
+            let id = self.free.pop_first()?;
+            self.busy.insert((done_at, id));
+            self.busy_time += u128::from(done_at - now);
+            Some(id)
+        }
+
+        fn complete_until(&mut self, now: u64) -> usize {
+            let mut retired = 0;
+            while let Some(&(done_at, id)) = self.busy.first() {
+                if done_at > now {
+                    break;
+                }
+                self.busy.pop_first();
+                if self.retiring.remove(&id) {
+                    retired += 1;
+                } else {
+                    self.free.insert(id);
+                }
+            }
+            retired
+        }
+
+        fn grow(&mut self, n: usize) {
+            for _ in 0..n {
+                self.free.insert(self.minted);
+                self.minted += 1;
+            }
+        }
+
+        fn shrink(&mut self, n: usize) -> usize {
+            let mut scheduled = 0;
+            for _ in 0..n {
+                if self.free.len() + self.busy.len() == self.retiring.len() {
+                    break;
+                }
+                if self.free.pop_last().is_some() {
+                    scheduled += 1;
+                    continue;
+                }
+                let candidate = self.busy.iter().map(|&(_, id)| id).filter(|id| !self.retiring.contains(id)).max();
+                match candidate {
+                    Some(id) => {
+                        self.retiring.insert(id);
+                        scheduled += 1;
+                    }
+                    None => break,
+                }
+            }
+            scheduled
+        }
+    }
+
+    #[test]
+    fn seeded_op_sequences_match_the_ordered_set_model() {
+        for seed in 0..200u64 {
+            let mut rng = SplitMix64::new(seed);
+            let start = rng.below(6) as usize;
+            let mut set = DeviceSet::new(start);
+            let mut model = Model::default();
+            model.grow(start);
+            let mut now = 0u64;
+            for step in 0..400 {
+                let at = format!("seed {seed} step {step}");
+                match rng.below(8) {
+                    0..=2 => {
+                        let done_at = now + rng.below(40);
+                        assert_eq!(set.dispatch(now, done_at), model.dispatch(now, done_at), "dispatch, {at}");
+                    }
+                    3..=5 => {
+                        now += rng.below(25);
+                        assert_eq!(set.complete_until(now), model.complete_until(now), "complete_until, {at}");
+                    }
+                    6 => {
+                        let n = rng.below(3) as usize;
+                        set.grow(n);
+                        model.grow(n);
+                    }
+                    _ => {
+                        let n = rng.below(4) as usize;
+                        assert_eq!(set.shrink(n), model.shrink(n), "shrink, {at}");
+                    }
+                }
+                assert_eq!(set.idle(), model.free.len(), "idle, {at}");
+                assert_eq!(set.busy(), model.busy.len(), "busy, {at}");
+                assert_eq!(set.target(), set.active() - model.retiring.len(), "target, {at}");
+                assert_eq!(set.peek_free(), model.free.first().copied(), "peek_free, {at}");
+                assert_eq!(set.next_completion(), model.busy.first().map(|b| b.0), "next_completion, {at}");
+                assert_eq!(set.busy_time(), model.busy_time, "busy_time, {at}");
+            }
+        }
     }
 
     #[test]

@@ -1,3 +1,4 @@
+use crate::tables::KindIndex;
 use tango_nets::NetworkKind;
 use tango_tensor::SplitMix64;
 
@@ -71,15 +72,22 @@ impl ArrivalTrace {
         }
     }
 
-    /// A hand-written trace (for tests). Arrivals must be time-sorted.
+    /// A hand-written trace (for tests). Arrivals must be time-sorted
+    /// and ask only for networks in `kinds`.
     ///
     /// # Panics
     ///
-    /// Panics if `arrivals` is not sorted by `at_cycle`.
+    /// Panics if `arrivals` is not sorted by `at_cycle` or one asks for
+    /// a kind that is not in `kinds`.
     pub fn from_arrivals(kinds: &[NetworkKind], arrivals: Vec<Arrival>) -> Self {
         assert!(
             arrivals.windows(2).all(|w| w[0].at_cycle <= w[1].at_cycle),
             "arrivals must be sorted by time"
+        );
+        let index = KindIndex::new(kinds);
+        assert!(
+            arrivals.iter().all(|a| index.get(a.kind).is_some()),
+            "arrival kind not in the trace's kinds"
         );
         ArrivalTrace {
             kinds: kinds.to_vec(),
@@ -133,6 +141,19 @@ mod tests {
         assert!(
             (mean / 500.0 - 1.0).abs() < 0.15,
             "empirical mean gap {mean} should be near 500"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "not in the trace's kinds")]
+    fn manual_traces_asking_for_a_foreign_kind_are_rejected() {
+        ArrivalTrace::from_arrivals(
+            &[NetworkKind::Gru],
+            vec![Arrival {
+                at_cycle: 1,
+                kind: NetworkKind::CifarNet,
+                input_seed: 0,
+            }],
         );
     }
 
