@@ -17,12 +17,18 @@ echo "== tango-sim tests at the release opt-level =="
 # and the (op, dtype) table must hold without them.
 cargo test --release -q -p tango-sim
 
-echo "== tango-obs, tango-serve, tango-fleet tests at the release opt-level =="
+echo "== tango-obs, tango-serve, tango-fleet, tango-tensor tests at the release opt-level =="
 # The fleet loop's ready index, the handle-based registry and the
 # one-pass serve metrics are checked against their reference forms by
 # generated inputs; those comparisons must also hold with every
-# `debug_assert!` compiled out.
-cargo test --release -q -p tango-obs -p tango-serve -p tango-fleet
+# `debug_assert!` compiled out. The bulk weight fills must equal the
+# scalar draws bit for bit where their loop is vectorised.
+cargo test --release -q -p tango-obs -p tango-serve -p tango-fleet -p tango-tensor
+
+echo "== tango-nets weight images at the release opt-level =="
+# Every network's device image after build_network against digests
+# recorded from scalar draws; the rest of the nets suite stays in tier 1.
+cargo test --release -q -p tango-nets --test weight_image weight_image_digests_match_the_scalar_draws
 
 echo "== clippy: workspace must be warning-free =="
 cargo clippy --workspace --all-targets -- -D warnings

@@ -7,7 +7,10 @@
 //!   first pass is reported separately as the *cold* leg (memo table
 //!   empty — every launch fully simulated); the timed passes that
 //!   follow replay from the launch-memo table when `TANGO_SIM_MEMO` is
-//!   enabled, so the cold/warm ratio is the memoization speedup.
+//!   enabled, so the cold/warm ratio is the memoization speedup. A warm
+//!   pass takes a millisecond or a few, so the timed passes repeat like
+//!   the serve and fleet replays below, and never fewer than
+//!   `timed_runs` times: `*_wall_s` is the wall per pass.
 //! * `results/BENCH_serve.json` — serve-engine throughput: requests per
 //!   wall-clock second and per simulated megacycle for an open-loop
 //!   trace at offered load 1.0, with batch costs precomputed through
@@ -32,7 +35,7 @@
 //! requests) stay deterministic, so a regression in either axis is
 //! attributable.
 //!
-//! `TANGO_BENCH_SAMPLES` overrides the timed pass count (default 2);
+//! `TANGO_BENCH_SAMPLES` overrides the least timed pass count (default 2);
 //! like `TANGO_JOBS`, a set-but-unusable value exits with status 2.
 
 use std::process::ExitCode;
@@ -43,15 +46,14 @@ use tango_nets::{NetworkKind, Preset};
 use tango_serve::{run_trace, ArrivalTrace, BatchPolicy, CostModel, ServeConfig, SimCostModel};
 use tango_sim::{memo_env_enabled, memo_table_stats, GpuConfig, SimOptions};
 
-/// Default timed simulator passes per network (after the cold pass).
+/// Default least timed simulator passes per network (after the cold pass).
 const DEFAULT_TIMED_RUNS: u32 = 2;
 const DEVICES: usize = 2;
 const DISTINCT_INPUTS: u64 = 4;
 const REQUESTS: usize = 200;
 const MAX_BATCH: u32 = 8;
-/// Least wall a serve or fleet leg accumulates over its repeats: long
-/// enough that timer and scheduler noise stay far under the 20 % gate
-/// of `harness perfdiff`.
+/// Least wall a leg accumulates over its repeats: long enough that timer
+/// and scheduler noise stay far under the 20 % gate of `harness perfdiff`.
 const MIN_LEG_WALL_S: f64 = 0.25;
 
 /// What the launch-memo layer does in this process (`TANGO_SIM_MEMO=0`
@@ -85,22 +87,17 @@ fn sim_leg(kinds: &[NetworkKind], preset: Preset, timed_runs: u32) -> tango::Res
         let cold = simulate_run(&spec)?;
         let cold_wall_s = cold_start.elapsed().as_secs_f64();
         let cycles = cold.report.total_cycles();
-        let start = Instant::now();
-        for _ in 0..timed_runs {
-            let run = simulate_run(&spec)?;
-            assert_eq!(run.report.total_cycles(), cycles, "simulator must be deterministic");
-        }
-        let wall_s = start.elapsed().as_secs_f64();
+        let (_, wall_s) = timed_replays(timed_runs, || {
+            simulate_run(&spec)
+                .inspect(|run| assert_eq!(run.report.total_cycles(), cycles, "simulator must be deterministic"))
+        })?;
         let key = kind.name().to_ascii_lowercase();
         obj = obj
             .int(&format!("{key}_total_cycles"), cycles)
             .num(&format!("{key}_cold_wall_s"), cold_wall_s)
             .num(&format!("{key}_cold_sim_cycles_per_sec"), cycles as f64 / cold_wall_s)
             .num(&format!("{key}_wall_s"), wall_s)
-            .num(
-                &format!("{key}_sim_cycles_per_sec"),
-                (cycles * timed_runs as u64) as f64 / wall_s,
-            );
+            .num(&format!("{key}_sim_cycles_per_sec"), cycles as f64 / wall_s);
     }
     let (memo_keys, memo_entries, memo_bytes) = memo_table_stats();
     Ok(obj
@@ -110,15 +107,16 @@ fn sim_leg(kinds: &[NetworkKind], preset: Preset, timed_runs: u32) -> tango::Res
 }
 
 /// Repeats the deterministic `replay` until [`MIN_LEG_WALL_S`] has
-/// accumulated; returns one result and the wall per replay.
-fn timed_replays<T, E>(mut replay: impl FnMut() -> Result<T, E>) -> Result<(T, f64), E> {
+/// accumulated, and at least `min_replays` times; returns one result and
+/// the wall per replay.
+fn timed_replays<T, E>(min_replays: u32, mut replay: impl FnMut() -> Result<T, E>) -> Result<(T, f64), E> {
     let start = Instant::now();
     let mut replays = 0u32;
     loop {
         let result = replay()?;
         replays += 1;
         let wall_s = start.elapsed().as_secs_f64();
-        if wall_s >= MIN_LEG_WALL_S {
+        if wall_s >= MIN_LEG_WALL_S && replays >= min_replays {
             return Ok((result, wall_s / f64::from(replays)));
         }
     }
@@ -148,7 +146,7 @@ fn serve_leg(kinds: &[NetworkKind], preset: Preset, workers: usize) -> tango_ser
                 max_delay_cycles: service_1 / 2,
             },
         };
-        let (report, wall_s) = timed_replays(|| run_trace(&trace, &config, &cost))?;
+        let (report, wall_s) = timed_replays(1, || run_trace(&trace, &config, &cost))?;
         let key = kind.name().to_ascii_lowercase();
         obj = obj
             .int(&format!("{key}_completed"), report.completed() as u64)
@@ -209,7 +207,7 @@ fn fleet_leg() -> tango_serve::Result<JsonObject> {
                 low_queue_per_device: 1,
             }),
         };
-        let (report, wall_s) = timed_replays(|| run_fleet(&trace, &config, &costs))?;
+        let (report, wall_s) = timed_replays(1, || run_fleet(&trace, &config, &costs))?;
         total_completed += report.completed() as u64;
         total_wall_s += wall_s;
         let key = policy.name();
@@ -259,7 +257,10 @@ fn run() -> Result<ExitCode, CliError> {
     let timed_runs = env.bench_samples.unwrap_or(DEFAULT_TIMED_RUNS);
     let kinds = [NetworkKind::CifarNet, NetworkKind::Gru];
 
-    eprintln!("[perf] sim leg: 1 cold + {timed_runs} timed simulate_run passes per network (memo {})", memo_mode());
+    eprintln!(
+        "[perf] sim leg: 1 cold simulate_run pass per network, then at least {timed_runs} timed passes repeated for {MIN_LEG_WALL_S} s (memo {})",
+        memo_mode()
+    );
     let sim = sim_leg(&kinds, preset, timed_runs)?;
     emit("BENCH_sim.json", &sim.render())?;
 

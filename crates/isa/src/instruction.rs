@@ -74,7 +74,7 @@ impl fmt::Display for CmpOp {
 /// Fields are public in the "compound passive data" sense: the builder
 /// produces them, the simulator consumes them, and `KernelProgram::validate`
 /// enforces well-formedness before execution.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Instruction {
     /// Operation.
     pub op: Opcode,

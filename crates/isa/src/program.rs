@@ -1,5 +1,6 @@
 use crate::{DType, Instruction, IsaError, Opcode, Operand, Result};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Three-dimensional launch extent (CUDA `dim3`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,6 +47,57 @@ impl fmt::Display for Dim3 {
     }
 }
 
+/// The in-process content hash behind [`KernelProgram::digest`]: FNV-1a
+/// over whole fields with a SplitMix64 finisher. A derived `Hash` feeds a
+/// hasher a field at a time, which costs this one a multiply each and the
+/// standard library's default a SipHash round or more.
+struct DigestHasher(u64);
+
+impl DigestHasher {
+    fn new() -> Self {
+        DigestHasher(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for DigestHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_i32(&mut self, v: i32) {
+        self.write_u64(v as u32 as u64);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_isize(&mut self, v: isize) {
+        self.write_u64(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+}
+
 /// A validated kernel program: the instruction stream plus its static
 /// resource requirements.
 ///
@@ -60,6 +112,7 @@ pub struct KernelProgram {
     smem_bytes: u32,
     register_count: u32,
     pred_count: u32,
+    digest: u64,
 }
 
 impl KernelProgram {
@@ -87,6 +140,10 @@ impl KernelProgram {
                 }
             }
         }
+        // Everything above is derived from these four, so they are the
+        // whole content.
+        let mut hasher = DigestHasher::new();
+        (&name, &instructions, param_count, smem_bytes).hash(&mut hasher);
         let program = KernelProgram {
             name,
             instructions,
@@ -94,6 +151,7 @@ impl KernelProgram {
             smem_bytes,
             register_count,
             pred_count,
+            digest: hasher.finish(),
         };
         program.validate()?;
         Ok(program)
@@ -134,6 +192,15 @@ impl KernelProgram {
     /// Number of predicate registers per thread.
     pub fn pred_count(&self) -> u32 {
         self.pred_count
+    }
+
+    /// A 64-bit digest of the program's whole content — name, every field
+    /// of every instruction, parameter count and shared-memory size —
+    /// computed once at construction. Equal programs have equal digests
+    /// however they were built; it is stable within a process only, so it
+    /// keys in-memory tables (the simulator's launch memo), never files.
+    pub fn digest(&self) -> u64 {
+        self.digest
     }
 
     /// Checks structural invariants. Called by the builder; also usable on
@@ -311,6 +378,22 @@ mod tests {
         let text = p.disassemble();
         assert!(text.contains("exit"));
         assert!(text.contains("kernel t"));
+    }
+
+    #[test]
+    fn digest_follows_content_not_construction() {
+        let build = |name: &str, imm: u32| {
+            let mut b = KernelBuilder::new(name);
+            let r = b.reg();
+            b.mov(DType::U32, r, Operand::imm_u32(imm));
+            b.exit();
+            b.build().unwrap()
+        };
+        let p = build("d", 7);
+        assert_eq!(p.digest(), build("d", 7).digest());
+        assert_eq!(p.digest(), crate::parse_program(&p.disassemble()).unwrap().digest());
+        assert_ne!(p.digest(), build("d", 8).digest());
+        assert_ne!(p.digest(), build("e", 7).digest());
     }
 
     #[test]

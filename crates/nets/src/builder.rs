@@ -52,16 +52,28 @@ impl<'g> NetBuilder<'g> {
 
     /// Uploads a synthetic Xavier-initialized weight buffer.
     pub fn xavier_weights(&mut self, len: usize, fan_in: usize) -> u32 {
-        let data: Vec<f32> = (0..len).map(|_| self.rng.xavier(fan_in)).collect();
-        self.weight_bytes += (len * 4) as u64;
-        self.gpu.upload_f32s(&data)
+        self.drawn_weights(len, |rng, out| rng.fill_xavier(out, fan_in))
     }
 
     /// Uploads a synthetic uniform buffer (biases, norm statistics).
     pub fn uniform_weights(&mut self, len: usize, lo: f32, hi: f32) -> u32 {
-        let data: Vec<f32> = (0..len).map(|_| self.rng.uniform(lo, hi)).collect();
+        self.drawn_weights(len, |rng, out| rng.fill_uniform(out, lo, hi))
+    }
+
+    /// Allocates `len` device floats and fills them from `fill`, a cache-
+    /// resident chunk at a time: consecutive bulk fills draw what one fill
+    /// of the whole buffer would, without a host copy of it.
+    fn drawn_weights(&mut self, len: usize, fill: impl Fn(&mut SplitMix64, &mut [f32])) -> u32 {
         self.weight_bytes += (len * 4) as u64;
-        self.gpu.upload_f32s(&data)
+        let base = self.gpu.alloc_bytes((len * 4) as u32);
+        const CHUNK: usize = 2048;
+        let mut chunk = [0.0f32; CHUNK];
+        for start in (0..len).step_by(CHUNK) {
+            let part = &mut chunk[..CHUNK.min(len - start)];
+            fill(&mut self.rng, part);
+            self.gpu.memory_mut().write_f32s(base + (start * 4) as u32, part);
+        }
+        base
     }
 
     fn push(&mut self, name: &str, layer_type: LayerType, op: Op) {

@@ -77,7 +77,7 @@ pub static SERVE_WORKERS: Var = strict(
 /// `TANGO_BENCH_SAMPLES`.
 pub static BENCH_SAMPLES: Var = strict(
     "TANGO_BENCH_SAMPLES",
-    "timed passes per network in `bench_perf` (default 2)",
+    "least timed passes per network in `bench_perf` (default 2)",
     "a positive sample count",
 );
 /// `TANGO_RESULTS_DIR`.

@@ -53,9 +53,19 @@ impl Cache {
         &self.geometry
     }
 
-    /// Total line slots (sets x ways) — used to size memo-table accounting.
-    pub(crate) fn slot_count(&self) -> usize {
-        self.sets.len()
+    /// Heap bytes behind this cache (its line array), for memo-table
+    /// accounting.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.sets.len() * std::mem::size_of::<Line>()
+    }
+
+    /// Moves the cache out from behind a reference. What stays is a shell
+    /// without lines, fit only to be overwritten or dropped.
+    pub(crate) fn take(&mut self) -> Cache {
+        Cache {
+            sets: std::mem::take(&mut self.sets),
+            ..*self
+        }
     }
 
     /// Accumulated counters.

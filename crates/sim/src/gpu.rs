@@ -6,7 +6,7 @@ use crate::decode::{decode_program, DecodedInst};
 use crate::exec::{self, Row};
 use crate::mem::GlobalMemory;
 use crate::memo::{self, MemoRecorder};
-use crate::memsys::MemorySystem;
+use crate::memsys::{Hierarchy, MemorySystem};
 use crate::power::PowerMeter;
 use crate::sched::Scheduler;
 use crate::sm::{LaunchAgg, Sm, SmEnv};
@@ -57,15 +57,18 @@ const GAUGE_INTERVAL: u64 = 8192;
 #[derive(Debug)]
 pub struct Gpu {
     config: GpuConfig,
+    /// `config`'s share of every launch key (the config never changes).
+    config_sig: u64,
     mem: GlobalMemory,
-    memsys: MemorySystem,
+    memsys: Hierarchy,
 }
 
 impl Gpu {
     /// Creates a device with the given configuration.
     pub fn new(config: GpuConfig) -> Self {
-        let memsys = MemorySystem::new(&config);
+        let memsys = Hierarchy::Owned(MemorySystem::new(&config));
         Gpu {
+            config_sig: memo::config_signature(&config),
             config,
             mem: GlobalMemory::new(),
             memsys,
@@ -233,10 +236,9 @@ impl Gpu {
             .min(self.config.max_ctas_per_sm);
         let warps_per_cta = self.config.warps_per_cta(cta_threads);
 
-        self.memsys.reset_stats();
         let meter = PowerMeter::new(self.config.power, self.config.clock_ghz, opts.power_window);
 
-        // Launch memoization (DESIGN.md section 13): a launch is a pure
+        // Launch memoization (DESIGN.md section 14): a launch is a pure
         // function of its static description plus the device state it
         // reads, so an identical earlier launch can be replayed exactly —
         // write log applied, recorded post-hierarchy installed, recorded
@@ -244,17 +246,12 @@ impl Gpu {
         let mut replayed = None;
         let mut recorder = None;
         if memo::enabled(opts.memo) {
-            // `memo` itself is excluded from the signature: it selects the
-            // execution strategy, never the result.
-            let opts_sig = format!(
-                "{:?}|{:?}|{:?}|{}|{}",
-                opts.scheduler, opts.l1d_bytes, opts.cta_sample_limit, opts.power_window, opts.batch
-            );
-            let config_sig = format!("{:?}", self.config);
-            let key = memo::static_key(program, grid, block, params, smem_bytes, &config_sig, &opts_sig);
+            let key = memo::static_key(program, grid, block, params, smem_bytes, self.config_sig, opts);
             match memo::lookup(key, self.memsys.state_tag(), &mut self.mem) {
                 Some((stats, post_memsys)) => {
-                    self.memsys = post_memsys;
+                    // The recorded state itself, counters and all: the
+                    // device shares it with the table and copies nothing.
+                    self.memsys = Hierarchy::Shared(post_memsys);
                     replayed = Some(stats);
                 }
                 None => {
@@ -268,16 +265,25 @@ impl Gpu {
                         rec.certify();
                     }
                     recorder = Some(rec);
-                    // Stamp a fresh tag *before* simulation mutates the
-                    // hierarchy, so an abandoned frame can never leave a
-                    // stale tag describing a state that no longer exists.
-                    self.memsys.refresh_tag();
                 }
             }
-        } else {
-            self.memsys.refresh_tag();
         }
         let done = replayed.is_some();
+        if !done {
+            // A live launch mutates the hierarchy, so the device must own
+            // it: the one place a state shared with the memo table is
+            // copied. Then stamp a fresh tag *before* simulation mutates
+            // anything, so an abandoned frame can never leave a stale tag
+            // describing a state that no longer exists.
+            let memsys = self.memsys.make_owned();
+            memsys.reset_stats();
+            memsys.refresh_tag();
+        }
+        debug_assert!(
+            done || matches!(self.memsys, Hierarchy::Owned(_)),
+            "kernel {}: a live launch is starting on a hierarchy the memo table can still reach",
+            program.name()
+        );
         let cycle = replayed.as_ref().map_or(0, |s| s.cycles);
         let next_cta = if done { sim_ctas } else { 0 };
 
@@ -437,7 +443,8 @@ impl LaunchFrame<'_> {
     /// One iteration of the launch loop: dispatch pending CTAs, cycle
     /// every SM once, advance the clock (event-skipping dead spans).
     fn step_once(&mut self) {
-        let Gpu { config, mem, memsys } = &mut *self.gpu;
+        let Gpu { config, mem, memsys, .. } = &mut *self.gpu;
+        let memsys = memsys.owned_mut();
 
         // Dispatch pending CTAs round-robin across SMs (one per SM per
         // pass, like the hardware work distributor) so partial grids
@@ -617,7 +624,7 @@ impl LaunchFrame<'_> {
         stats.peak_power_w = stats.peak_power_w.max(stats.avg_power_w);
 
         if let Some(rec) = self.recorder.take() {
-            memo::record(rec, &self.gpu.memsys, &stats);
+            memo::record(rec, &mut self.gpu.memsys, &stats);
         }
 
         if tango_obs::is_enabled() {

@@ -4,7 +4,9 @@
 use crate::cache::Cache;
 use crate::config::GpuConfig;
 use crate::stats::CacheStats;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Source of fresh hierarchy state tags. Tag 0 is never issued, tag 1 is
 /// reserved for pristine hierarchies, so every mutated state gets a
@@ -28,7 +30,8 @@ pub struct MemorySystem {
     /// equal tags are guaranteed to hold equal cache/channel state. Fresh
     /// hierarchies share tag 1; every live launch stamps a new unique tag
     /// before running (see [`refresh_tag`](Self::refresh_tag)), and memo
-    /// replays install recorded clones carrying the recorded post tag.
+    /// replays install the recorded state itself, recorded post tag and
+    /// all (see [`Hierarchy`]).
     state_tag: u64,
 }
 
@@ -71,9 +74,10 @@ impl MemorySystem {
         self.state_tag = NEXT_TAG.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Approximate heap footprint of a clone, for memo-table budgeting.
-    pub(crate) fn approx_clone_bytes(&self) -> usize {
-        self.l2.slot_count() * std::mem::size_of::<u64>() * 3 + 128
+    /// Bytes one recorded snapshot of this hierarchy holds, for memo-table
+    /// budgeting.
+    pub(crate) fn snapshot_bytes(&self) -> usize {
+        self.l2.heap_bytes() + std::mem::size_of::<Self>()
     }
 
     /// Services one line request issued at `now`.
@@ -112,6 +116,73 @@ impl MemorySystem {
         self.l2.reset_stats();
         self.dram_accesses = 0;
         self.dram_busy_until = 0;
+    }
+}
+
+/// A device's L2/DRAM state, and who owns it.
+///
+/// A live launch mutates the hierarchy on every memory access, so it runs
+/// on state the device owns outright. A memo replay mutates nothing: it
+/// leaves the device holding the recorded post-launch state *itself*,
+/// shared with the memo table and with every other device that recorded
+/// or replayed the same launch. Shared state is read-only; the one copy is
+/// made by [`make_owned`](Self::make_owned), when a device that holds it
+/// goes on to simulate.
+#[derive(Debug)]
+pub(crate) enum Hierarchy {
+    /// The device's own.
+    Owned(MemorySystem),
+    /// A recorded post-launch state the memo table can also reach.
+    Shared(Arc<MemorySystem>),
+}
+
+impl Hierarchy {
+    /// Settles ownership ahead of a live launch — copying the state if,
+    /// and only if, it is still shared — and returns it for mutation.
+    pub fn make_owned(&mut self) -> &mut MemorySystem {
+        if let Hierarchy::Shared(shared) = self {
+            *self = Hierarchy::Owned(MemorySystem::clone(shared));
+        }
+        self.owned_mut()
+    }
+
+    /// The state of a launch in flight, whose ownership
+    /// [`make_owned`](Self::make_owned) settled when it began: a plain
+    /// borrow, with no reference count to consult on every step.
+    pub fn owned_mut(&mut self) -> &mut MemorySystem {
+        match self {
+            Hierarchy::Owned(own) => own,
+            Hierarchy::Shared(_) => unreachable!("a live launch runs on a hierarchy its device owns"),
+        }
+    }
+
+    /// Puts the state behind a shared handle for the memo table to keep,
+    /// without copying it: the device goes on holding the same state, now
+    /// read-only, and pays for a copy only if it simulates again.
+    pub fn share(&mut self) -> Arc<MemorySystem> {
+        match self {
+            Hierarchy::Shared(shared) => Arc::clone(shared),
+            Hierarchy::Owned(own) => {
+                // Moves the struct; the L2 line array behind it stays put.
+                let shared = Arc::new(MemorySystem {
+                    l2: own.l2.take(),
+                    ..*own
+                });
+                *self = Hierarchy::Shared(Arc::clone(&shared));
+                shared
+            }
+        }
+    }
+}
+
+impl Deref for Hierarchy {
+    type Target = MemorySystem;
+
+    fn deref(&self) -> &MemorySystem {
+        match self {
+            Hierarchy::Owned(own) => own,
+            Hierarchy::Shared(shared) => shared,
+        }
     }
 }
 
@@ -157,6 +228,28 @@ mod tests {
         assert_eq!(s.accesses, 2);
         assert_eq!(s.misses, 1);
         assert_eq!(m.dram_accesses(), 1);
+    }
+
+    #[test]
+    fn sharing_copies_nothing_and_ownership_copies_once() {
+        let cfg = GpuConfig::gp102();
+        let mut device = Hierarchy::Owned(MemorySystem::new(&cfg));
+        device.owned_mut().access(0, 9, false);
+        device.owned_mut().refresh_tag();
+        let tag = device.state_tag();
+
+        let table = device.share();
+        assert!(matches!(&device, Hierarchy::Shared(s) if Arc::ptr_eq(s, &table)));
+        assert_eq!(device.state_tag(), tag);
+        assert!(Arc::ptr_eq(&device.share(), &table), "sharing twice shares the same state");
+
+        // The device simulates on: its copy diverges, the table's does not.
+        let own = device.make_owned();
+        assert!(own.access(1, 9, false).l2_hit, "the copy carries the contents");
+        own.access(1, 10, false);
+        assert_eq!(device.l2_stats().accesses, 3);
+        assert_eq!(table.l2_stats().accesses, 1);
+        assert_eq!(Arc::strong_count(&table), 1, "the device let go of the shared state");
     }
 
     #[test]

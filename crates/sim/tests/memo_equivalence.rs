@@ -8,11 +8,17 @@
 //! can be compared race-free inside one test process.
 
 use tango_isa::{DType, Dim3, KernelBuilder, KernelProgram, Operand};
-use tango_sim::{Gpu, GpuConfig, SimOptions};
+use tango_sim::{Gpu, GpuConfig, SimOptions, StepStatus};
 
 /// y[tid] = a * x[tid] + y[tid] — the canonical streaming kernel.
 fn saxpy() -> KernelProgram {
-    let mut b = KernelBuilder::new("memo_saxpy");
+    saxpy_named("memo_saxpy")
+}
+
+/// [`saxpy`] under a name of the caller's: the name is part of the memo
+/// key, so a test that counts hits keeps its entries to itself.
+fn saxpy_named(name: &str) -> KernelProgram {
+    let mut b = KernelBuilder::new(name);
     let tid = b.global_tid_x();
     let off = b.reg();
     let xa = b.reg();
@@ -35,7 +41,11 @@ fn saxpy() -> KernelProgram {
 
 /// out[tid] = x[tid] + x[tid] — pure, output disjoint from input.
 fn double() -> KernelProgram {
-    let mut b = KernelBuilder::new("memo_double");
+    double_named("memo_double")
+}
+
+fn double_named(name: &str) -> KernelProgram {
+    let mut b = KernelBuilder::new(name);
     let tid = b.global_tid_x();
     let off = b.reg();
     let xa = b.reg();
@@ -227,4 +237,160 @@ fn memo_replays_across_devices_with_shared_table() {
     assert_eq!(baseline.0, first.0);
     assert_eq!(baseline.0, second.0);
     assert_eq!(baseline.1, second.1);
+}
+
+// ---- shared hierarchy state ---------------------------------------------
+//
+// A memo hit leaves the device holding the recorded post-launch L2/DRAM
+// state itself, shared with the table and with every other device that
+// replayed the launch. A device that goes on to simulate must copy it
+// first: nothing it does may reach the entry or another device.
+
+/// A fresh device with the chain's buffers: `first` doubles `x` into
+/// `mid`, `second` is saxpy over (`mid`, `y`), and `other` doubles `x`
+/// into a scratch buffer neither of them touches.
+struct Chain {
+    gpu: Gpu,
+    first: KernelProgram,
+    second: KernelProgram,
+    x: u32,
+    mid: u32,
+    y: u32,
+    scratch: u32,
+}
+
+const CHAIN_N: usize = 4096;
+
+impl Chain {
+    /// `tag` names the kernels, so each test owns its memo entries.
+    fn new(tag: &str) -> Chain {
+        let mut gpu = Gpu::new(GpuConfig::gp102());
+        let x = gpu.upload_f32s(&(0..CHAIN_N).map(|i| (i % 13) as f32).collect::<Vec<_>>());
+        let mid = gpu.alloc_bytes(CHAIN_N as u32 * 4);
+        let y = gpu.upload_f32s(&vec![1.0; CHAIN_N]);
+        let scratch = gpu.alloc_bytes(CHAIN_N as u32 * 4);
+        Chain {
+            gpu,
+            first: double_named(&format!("{tag}_double")),
+            second: saxpy_named(&format!("{tag}_saxpy")),
+            x,
+            mid,
+            y,
+            scratch,
+        }
+    }
+
+    fn first(&mut self, memo: bool) -> (bool, String) {
+        observed_launch(&mut self.gpu, &self.first, &[self.x, self.mid], memo)
+    }
+
+    fn second(&mut self, memo: bool) -> (bool, String) {
+        observed_launch(&mut self.gpu, &self.second, &[self.mid, self.y, 0.25f32.to_bits()], memo)
+    }
+
+    /// A launch no test records ahead of time: live on first sight.
+    fn other(&mut self, memo: bool) -> (bool, String) {
+        observed_launch(&mut self.gpu, &self.first, &[self.x, self.scratch], memo)
+    }
+
+    fn output(&self) -> Vec<f32> {
+        self.gpu.download_f32s(self.y, CHAIN_N)
+    }
+}
+
+/// Launches `program` over the chain's geometry and returns whether the
+/// memo served it — a replayed frame is done before its first step — with
+/// its stats.
+fn observed_launch(gpu: &mut Gpu, program: &KernelProgram, params: &[u32], memo: bool) -> (bool, String) {
+    let opts = SimOptions::new().with_memo(memo);
+    let frame = gpu.begin_launch(program, Dim3::x(CHAIN_N as u32 / 64), Dim3::x(64), params, 0, &opts);
+    let hit = frame.is_done();
+    (hit, format!("{:?}", frame.finish()))
+}
+
+/// The chain fully simulated: what every memoized variant must equal.
+fn chain_reference(tag: &str) -> (String, String, Vec<f32>) {
+    let mut full = Chain::new(tag);
+    let (_, s1) = full.first(false);
+    let (_, s2) = full.second(false);
+    (s1, s2, full.output())
+}
+
+#[test]
+fn a_live_launch_after_a_replay_leaves_the_entry_as_recorded() {
+    let tag = "share_live_after_replay";
+    let (ref_first, ref_second, ref_out) = chain_reference(tag);
+
+    let mut recorder = Chain::new(tag);
+    assert_eq!(recorder.first(true), (false, ref_first.clone()));
+
+    // Replays, then simulates on: the second launch runs live (memo off)
+    // on this device's private copy of the recorded state.
+    let mut replayer = Chain::new(tag);
+    assert_eq!(replayer.first(true), (true, ref_first.clone()));
+    assert!(!replayer.other(true).0);
+    assert_eq!(replayer.second(false), (false, ref_second.clone()));
+
+    // A fresh device still replays the first launch, and what it is handed
+    // is still the exact post-launch state: a live second launch on top of
+    // it counts the same L2 hits and misses as the fully simulated chain.
+    let mut fresh = Chain::new(tag);
+    assert_eq!(fresh.first(true), (true, ref_first));
+    assert_eq!(fresh.second(false), (false, ref_second));
+    assert_eq!(fresh.output(), ref_out);
+}
+
+#[test]
+fn devices_sharing_an_entry_do_not_see_each_others_simulation() {
+    let tag = "share_two_devices";
+    let (ref_first, ref_second, ref_out) = chain_reference(tag);
+
+    let mut recorder = Chain::new(tag);
+    assert!(!recorder.first(true).0);
+    assert!(!recorder.second(true).0);
+
+    let mut a = Chain::new(tag);
+    let mut b = Chain::new(tag);
+    assert_eq!(a.first(true), (true, ref_first.clone()));
+    assert_eq!(b.first(true), (true, ref_first));
+    // `a` simulates something else on top of the state both hold...
+    assert!(!a.other(true).0);
+    // ...and `b` is still exactly where the recording left off: its next
+    // launch finds its pre-state tag and replays.
+    assert_eq!(b.second(true), (true, ref_second));
+    assert_eq!(b.output(), ref_out);
+}
+
+#[test]
+fn a_frame_dropped_after_a_replay_leaves_the_entry_and_a_fresh_tag() {
+    let tag = "share_dropped_frame";
+    let (ref_first, ref_second, ref_out) = chain_reference(tag);
+
+    let mut recorder = Chain::new(tag);
+    assert!(!recorder.first(true).0);
+    assert!(!recorder.second(true).0);
+
+    let mut abandoner = Chain::new(tag);
+    assert!(abandoner.first(true).0);
+    {
+        let opts = SimOptions::new().with_memo(true);
+        let params = [abandoner.x, abandoner.scratch];
+        let mut frame =
+            abandoner
+                .gpu
+                .begin_launch(&abandoner.first, Dim3::x(CHAIN_N as u32 / 64), Dim3::x(64), &params, 0, &opts);
+        assert_eq!(frame.step(8), StepStatus::Running, "the launch must still be in flight when dropped");
+    }
+    // The abandoned launch mutated the device's own copy under a fresh
+    // tag, so the recorded second launch no longer matches this device:
+    // it simulates (correctly) instead of replaying a stale entry.
+    let (hit, _) = abandoner.second(true);
+    assert!(!hit, "a device left mid-launch must not replay from its old tag");
+    assert_eq!(abandoner.output(), ref_out);
+
+    // The entries themselves are untouched: a third device replays both.
+    let mut third = Chain::new(tag);
+    assert_eq!(third.first(true), (true, ref_first));
+    assert_eq!(third.second(true), (true, ref_second));
+    assert_eq!(third.output(), ref_out);
 }

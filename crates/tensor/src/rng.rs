@@ -20,6 +20,24 @@ pub struct SplitMix64 {
     state: u64,
 }
 
+/// The Weyl increment: the state after `k` draws is `seed + k * GAMMA`.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64's output function over one state value.
+#[inline]
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The top 24 bits of a raw draw as a value in `[0, 1)`.
+#[inline]
+fn unit_f32(raw: u64) -> f32 {
+    // 24 high-quality mantissa bits.
+    (raw >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
+}
+
 impl SplitMix64 {
     /// Creates a generator from a seed. Distinct seeds give independent
     /// streams for practical purposes.
@@ -29,17 +47,13 @@ impl SplitMix64 {
 
     /// Returns the next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.state = self.state.wrapping_add(GAMMA);
+        mix(self.state)
     }
 
     /// Returns a uniform value in `[0, 1)`.
     pub fn next_f32(&mut self) -> f32 {
-        // 24 high-quality mantissa bits.
-        (self.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
+        unit_f32(self.next_u64())
     }
 
     /// Returns a uniform value in `[lo, hi)`.
@@ -81,6 +95,41 @@ impl SplitMix64 {
         assert!(fan_in > 0, "xavier: fan_in must be positive");
         let limit = (3.0 / fan_in as f32).sqrt();
         self.uniform(-limit, limit)
+    }
+
+    /// Fills `out` with uniform values in `[lo, hi)`: bit for bit what
+    /// `out.len()` successive [`uniform`](Self::uniform) calls return, and
+    /// the generator is left where they would leave it.
+    ///
+    /// The state after `k` draws is `state + k * GAMMA`, so every element
+    /// is a function of its index alone: the loop carries nothing but the
+    /// counter and the range is computed once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo > hi`.
+    pub fn fill_uniform(&mut self, out: &mut [f32], lo: f32, hi: f32) {
+        assert!(lo <= hi, "uniform: lo {lo} must not exceed hi {hi}");
+        let span = hi - lo;
+        let start = self.state;
+        for (k, slot) in out.iter_mut().enumerate() {
+            let state = start.wrapping_add(GAMMA.wrapping_mul(k as u64 + 1));
+            *slot = lo + span * unit_f32(mix(state));
+        }
+        self.state = start.wrapping_add(GAMMA.wrapping_mul(out.len() as u64));
+    }
+
+    /// Fills `out` with Xavier/Glorot draws for the given fan-in: bit for
+    /// bit what `out.len()` successive [`xavier`](Self::xavier) calls
+    /// return, with the limit computed once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fan_in == 0`.
+    pub fn fill_xavier(&mut self, out: &mut [f32], fan_in: usize) {
+        assert!(fan_in > 0, "xavier: fan_in must be positive");
+        let limit = (3.0 / fan_in as f32).sqrt();
+        self.fill_uniform(out, -limit, limit);
     }
 }
 
@@ -153,6 +202,72 @@ mod tests {
         for _ in 0..1000 {
             assert!(rng.xavier(900).abs() <= limit);
         }
+    }
+
+    /// What `draw` writes into `len` slots from a generator a few draws
+    /// past `seed`, as bits, and the generator it leaves behind.
+    fn drawn(seed: u64, len: usize, draw: impl FnOnce(&mut SplitMix64, &mut [f32])) -> (Vec<u32>, SplitMix64) {
+        let mut rng = SplitMix64::new(seed);
+        rng.next_u64();
+        rng.next_u64();
+        let mut out = vec![f32::NAN; len];
+        draw(&mut rng, &mut out);
+        (out.iter().map(|v| v.to_bits()).collect(), rng)
+    }
+
+    #[test]
+    fn fills_are_bit_equal_to_scalar_draws_and_leave_the_same_state() {
+        for (case, len) in [0usize, 1, 7, 100_000].into_iter().enumerate() {
+            let seed = 0x7A16_0201_9151 ^ case as u64;
+            for fan_in in [1usize, 27, 4096] {
+                assert_eq!(
+                    drawn(seed, len, |r, out| r.fill_xavier(out, fan_in)),
+                    drawn(seed, len, |r, out| out.iter_mut().for_each(|v| *v = r.xavier(fan_in))),
+                    "fill_xavier, len {len}, fan_in {fan_in}"
+                );
+            }
+            // `lo == hi` is a legal, degenerate range.
+            for (lo, hi) in [(-0.05f32, 0.05f32), (0.5, 1.5), (-2.5, 7.5), (0.25, 0.25)] {
+                assert_eq!(
+                    drawn(seed, len, |r, out| r.fill_uniform(out, lo, hi)),
+                    drawn(seed, len, |r, out| out.iter_mut().for_each(|v| *v = r.uniform(lo, hi))),
+                    "fill_uniform, len {len}, [{lo}, {hi})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fills_interleave_with_scalar_draws() {
+        // The way a network is built: a weight fill, a bias fill, the odd
+        // scalar draw in between.
+        let mut bulk = SplitMix64::new(11);
+        let mut scalar = SplitMix64::new(11);
+        let mut got = Vec::new();
+        let mut want = Vec::new();
+        for round in 0..5usize {
+            let mut weights = vec![0.0f32; 13 + 100 * round];
+            bulk.fill_xavier(&mut weights, 9 + round);
+            got.extend(weights.iter().map(|v| v.to_bits()));
+            got.push(bulk.uniform(-1.0, 1.0).to_bits());
+            let mut bias = vec![0.0f32; round];
+            bulk.fill_uniform(&mut bias, -0.05, 0.05);
+            got.extend(bias.iter().map(|v| v.to_bits()));
+            got.push(bulk.next_u64() as u32);
+
+            want.extend((0..13 + 100 * round).map(|_| scalar.xavier(9 + round).to_bits()));
+            want.push(scalar.uniform(-1.0, 1.0).to_bits());
+            want.extend((0..round).map(|_| scalar.uniform(-0.05, 0.05).to_bits()));
+            want.push(scalar.next_u64() as u32);
+        }
+        assert_eq!(got, want);
+        assert_eq!(bulk, scalar);
+    }
+
+    #[test]
+    #[should_panic(expected = "fan_in must be positive")]
+    fn fill_xavier_rejects_zero_fan_in() {
+        SplitMix64::new(0).fill_xavier(&mut [0.0; 4], 0);
     }
 
     #[test]
