@@ -4,20 +4,31 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "== tier 1: build =="
+# section <title>: prints the elapsed seconds of the section before it
+# (bash SECONDS), then the next section's header.
+SECTION=""
+SECTION_START=$SECONDS
+section() {
+    [ -z "$SECTION" ] || echo "-- $SECTION: $((SECONDS - SECTION_START)) s"
+    SECTION="$1"
+    SECTION_START=$SECONDS
+    echo "== $1 =="
+}
+
+section "tier 1: build"
 cargo build --release
 
-echo "== tier 1: tests =="
+section "tier 1: tests"
 cargo test -q
 
-echo "== tango-sim tests at the release opt-level =="
+section "tango-sim tests at the release opt-level"
 # The interpreter's full-mask lane loops vectorise only there, and its
 # debug-build oracles (kernel == alu per lane, warp == per-lane bounds
 # test, stall cache, sleep, in-place walk) are compiled out: the goldens
 # and the (op, dtype) table must hold without them.
 cargo test --release -q -p tango-sim
 
-echo "== tango-obs, tango-serve, tango-fleet, tango-tensor tests at the release opt-level =="
+section "tango-obs, tango-serve, tango-fleet, tango-tensor tests at the release opt-level"
 # The fleet loop's ready index, the handle-based registry and the
 # one-pass serve metrics are checked against their reference forms by
 # generated inputs; those comparisons must also hold with every
@@ -25,15 +36,15 @@ echo "== tango-obs, tango-serve, tango-fleet, tango-tensor tests at the release 
 # scalar draws bit for bit where their loop is vectorised.
 cargo test --release -q -p tango-obs -p tango-serve -p tango-fleet -p tango-tensor
 
-echo "== tango-nets weight images at the release opt-level =="
+section "tango-nets weight images at the release opt-level"
 # Every network's device image after build_network against digests
 # recorded from scalar draws; the rest of the nets suite stays in tier 1.
 cargo test --release -q -p tango-nets --test weight_image weight_image_digests_match_the_scalar_draws
 
-echo "== clippy: workspace must be warning-free =="
+section "clippy: workspace must be warning-free"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== repro_all: cold pass (tiny preset, scratch store) =="
+section "repro_all: cold pass (tiny preset, scratch store)"
 SCRATCH="$(mktemp -d)"
 trap 'rm -rf "$SCRATCH"' EXIT
 
@@ -70,7 +81,7 @@ echo "cold:  $cold"
 [ "$(echo "$cold" | grep -oE 'misses=[0-9]+')" != "misses=0" ] ||
     echo "note: cold pass already warm (pre-existing store?)"
 
-echo "== repro_all: warm pass (must be all cache hits) =="
+section "repro_all: warm pass (must be all cache hits)"
 warm=$(run_repro)
 echo "warm:  $warm"
 if [ "$(echo "$warm" | grep -oE 'misses=[0-9]+')" != "misses=0" ]; then
@@ -78,13 +89,21 @@ if [ "$(echo "$warm" | grep -oE 'misses=[0-9]+')" != "misses=0" ]; then
     exit 1
 fi
 
-echo "== repro_all: per-phase profile =="
+section "repro_all: a traced warm pass records every worker on its own track"
+# The recording belongs to the thread that enabled it; the suite hands
+# it to its workers, so TANGO_JOBS=2 must give two harness.worker tracks.
+TANGO_PRESET=tiny TANGO_RESULTS_DIR="$SCRATCH" TANGO_JOBS=2 TANGO_TRACE="$SCRATCH/repro_trace.json" \
+    cargo run --release -q -p tango-bench --bin repro_all >/dev/null 2>&1
+python3 -c 'import json,sys; t={e["tid"] for e in json.load(open(sys.argv[1]))["traceEvents"] if e.get("cat")=="harness.worker"}; sys.exit(len(t)<2)' "$SCRATCH/repro_trace.json" ||
+    { echo "FAIL: traced repro_all at TANGO_JOBS=2 recorded harness.worker on fewer than 2 tracks" >&2; exit 1; }
+
+section "repro_all: per-phase profile"
 if [ ! -s "$SCRATCH/profile.txt" ]; then
     echo "FAIL: repro_all did not write a per-phase profile" >&2
     exit 1
 fi
 
-echo "== repro_all: TANGO_SIM_MEMO=0 must not change a single output byte =="
+section "repro_all: TANGO_SIM_MEMO=0 must not change a single output byte"
 # The launch-memo escape hatch: a cold pass with memoization disabled
 # must produce byte-identical figures and tables — replay is exact or
 # it is a bug.
@@ -100,7 +119,7 @@ for f in "$SCRATCH"/fig*.txt "$SCRATCH"/table*.txt; do
     fi
 done
 
-echo "== repro_all --only: one experiment alone equals the cold pass's; unknown ids exit 2 =="
+section "repro_all --only: one experiment alone equals the cold pass's; unknown ids exit 2"
 mkdir -p "$SCRATCH/only"
 TANGO_PRESET=tiny TANGO_RESULTS_DIR="$SCRATCH/only" \
     cargo run --release -q -p tango-bench --bin repro_all -- --only fig07 >/dev/null 2>&1
@@ -114,10 +133,10 @@ grep -q 'fig07' "$SCRATCH/exit2.err" || {
     exit 1
 }
 
-echo "== TANGO_PRESET: a typo must exit 2 =="
+section "TANGO_PRESET: a typo must exit 2"
 expect_exit2 TANGO_PRESET=garbage -- cargo run --release -q -p tango-bench --bin repro_all
 
-echo "== harness trace: tracing must not change a single output byte =="
+section "harness trace: tracing must not change a single output byte"
 TANGO_PRESET=tiny $HARNESS trace cifarnet > "$SCRATCH/untraced.out" 2>/dev/null
 TANGO_PRESET=tiny TANGO_TRACE="$SCRATCH/trace.json" \
     $HARNESS trace cifarnet > "$SCRATCH/traced.out" 2>"$SCRATCH/traced.err"
@@ -141,10 +160,10 @@ if command -v python3 >/dev/null 2>&1; then
         { echo "FAIL: trace.json is not valid JSON" >&2; exit 1; }
 fi
 
-echo "== harness trace: bad TANGO_TRACE_CAP must exit 2 =="
+section "harness trace: bad TANGO_TRACE_CAP must exit 2"
 expect_exit2 TANGO_TRACE_CAP=0 -- $HARNESS trace cifarnet
 
-echo "== harness lint: zero error-severity diagnostics, deterministic report =="
+section "harness lint: zero error-severity diagnostics, deterministic report"
 # Exit code 1 here means an error-severity diagnostic in a suite kernel.
 TANGO_PRESET=tiny TANGO_RESULTS_DIR="$SCRATCH" \
     $HARNESS lint --all > "$SCRATCH/lint1.out" 2>/dev/null
@@ -161,7 +180,7 @@ if ! cmp -s "$SCRATCH/lint_report_run1.txt" "$SCRATCH/lint_report.txt"; then
     exit 1
 fi
 
-echo "== harness store stats/gc (stale record must be dropped) =="
+section "harness store stats/gc (stale record must be dropped)"
 # Inject a record written under schema version 1; gc must remove exactly it.
 printf 'TNGR\x01\x00\x00\x00stale' > "$SCRATCH/store/gru-00000000deadbeef.run"
 $HARNESS store stats --dir "$SCRATCH/store"
@@ -175,11 +194,11 @@ case "$gc_out" in
         ;;
 esac
 
-echo "== serve_bench --smoke (admission control + batching latency win) =="
+section "serve_bench --smoke (admission control + batching latency win)"
 TANGO_RESULTS_DIR="$SCRATCH" \
     cargo run --release -q -p tango-bench --bin serve_bench -- --smoke
 
-echo "== harness backends: byte-identical across reruns and worker counts =="
+section "harness backends: byte-identical across reruns and worker counts"
 for net in cifarnet gru; do
     TANGO_PRESET=tiny TANGO_RESULTS_DIR="$SCRATCH" TANGO_JOBS=1 \
         $HARNESS backends "$net" > "$SCRATCH/backends_${net}_j1.out" 2>/dev/null
@@ -203,10 +222,10 @@ for net in cifarnet gru; do
     fi
 done
 
-echo "== harness backends: garbage TANGO_BACKENDS must exit 2 =="
+section "harness backends: garbage TANGO_BACKENDS must exit 2"
 expect_exit2 TANGO_BACKENDS=garbage -- $HARNESS backends gru
 
-echo "== harness fleet --smoke: byte-identical across reruns and worker counts =="
+section "harness fleet --smoke: byte-identical across reruns and worker counts"
 TANGO_RESULTS_DIR="$SCRATCH" TANGO_JOBS=1 \
     $HARNESS fleet --smoke > "$SCRATCH/fleet_j1.out" 2>/dev/null
 cp "$SCRATCH/fleet_bench.txt" "$SCRATCH/fleet_bench_j1.txt"
@@ -233,7 +252,7 @@ grep -q 'store hits=[0-9]* misses=0' "$SCRATCH/fleet_j4.err" || {
     exit 1
 }
 
-echo "== metrics: collection must not change fleet_bench.txt by a byte =="
+section "metrics: collection must not change fleet_bench.txt by a byte"
 cp "$SCRATCH/fleet_bench.txt" "$SCRATCH/fleet_bench_nometrics.txt"
 TANGO_RESULTS_DIR="$SCRATCH" TANGO_METRICS=1 TANGO_JOBS=1 \
     $HARNESS fleet --smoke > "$SCRATCH/fleet_metrics.out" 2>/dev/null
@@ -253,7 +272,7 @@ for f in metrics_fleet.txt metrics_fleet.jsonl metrics_fleet.prom; do
     fi
 done
 
-echo "== metrics: artifacts byte-identical across TANGO_JOBS =="
+section "metrics: artifacts byte-identical across TANGO_JOBS"
 for f in metrics_fleet.txt metrics_fleet.jsonl metrics_fleet.prom; do
     cp "$SCRATCH/$f" "$SCRATCH/${f}.j1"
 done
@@ -275,11 +294,11 @@ grep -q 'ALERT' "$SCRATCH/metrics_fleet.txt" || {
     exit 1
 }
 
-echo "== metrics: garbage TANGO_METRICS / TANGO_METRICS_WINDOW must exit 2 =="
+section "metrics: garbage TANGO_METRICS / TANGO_METRICS_WINDOW must exit 2"
 expect_exit2 TANGO_METRICS=garbage -- $HARNESS fleet --smoke
 expect_exit2 TANGO_METRICS_WINDOW=0 TANGO_METRICS=1 -- $HARNESS fleet --smoke
 
-echo "== harness metrics: deterministic windowed registry from one run =="
+section "harness metrics: deterministic windowed registry from one run"
 TANGO_PRESET=tiny $HARNESS metrics gru > "$SCRATCH/metrics1.out" 2>/dev/null
 TANGO_PRESET=tiny $HARNESS metrics gru > "$SCRATCH/metrics2.out" 2>/dev/null
 if ! cmp -s "$SCRATCH/metrics1.out" "$SCRATCH/metrics2.out"; then
@@ -292,15 +311,15 @@ grep -q 'tango-metrics' "$SCRATCH/metrics1.out" || {
     exit 1
 }
 
-echo "== harness fleet: garbage TANGO_FLEET_REQUESTS must exit 2 =="
+section "harness fleet: garbage TANGO_FLEET_REQUESTS must exit 2"
 expect_exit2 TANGO_FLEET_REQUESTS=garbage -- $HARNESS fleet --smoke
 
-echo "== repo benchmark: digest gate (--smoke; tier 1 does not build this package) =="
+section "repo benchmark: digest gate (--smoke; tier 1 does not build this package)"
 # Every workload at the tiny scale, each result checked against
 # benchmark/expected/digests.txt; exits nonzero on any failed op.
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
 
-echo "== bench_perf: perf baseline artifacts =="
+section "bench_perf: perf baseline artifacts"
 TANGO_PRESET=tiny TANGO_RESULTS_DIR="$SCRATCH" TANGO_JOBS=2 \
     cargo run --release -q -p tango-bench --bin bench_perf >/dev/null
 for f in BENCH_sim.json BENCH_serve.json BENCH_fleet.json; do
@@ -314,10 +333,10 @@ for f in BENCH_sim.json BENCH_serve.json BENCH_fleet.json; do
     fi
 done
 
-echo "== bench_perf: bad TANGO_BENCH_SAMPLES must exit 2 =="
+section "bench_perf: bad TANGO_BENCH_SAMPLES must exit 2"
 expect_exit2 TANGO_BENCH_SAMPLES=garbage -- cargo run --release -q -p tango-bench --bin bench_perf
 
-echo "== committed perf artifacts present =="
+section "committed perf artifacts present"
 for f in results/profile.txt results/BENCH_sim.json results/BENCH_serve.json results/BENCH_fleet.json results/bench_history.jsonl results/fleet_bench.txt; do
     if [ ! -s "$f" ]; then
         echo "FAIL: $f missing or empty (regenerate with repro_all / bench_perf)" >&2
@@ -325,7 +344,7 @@ for f in results/profile.txt results/BENCH_sim.json results/BENCH_serve.json res
     fi
 done
 
-echo "== bench_perf: perf-regression attribution vs committed baselines (bench preset) =="
+section "bench_perf: perf-regression attribution vs committed baselines (bench preset)"
 # Warm-throughput regressions >20% against the committed BENCH_*.json
 # warn but do not fail: wall-clock numbers depend on the host, and the
 # committed baselines were measured on one particular machine. The
@@ -344,4 +363,5 @@ for f in BENCH_sim.json BENCH_serve.json BENCH_fleet.json; do
     fi
 done
 
-echo "== ci.sh: all gates passed =="
+section "ci.sh: all gates passed"
+echo "-- total: ${SECONDS} s"

@@ -20,6 +20,7 @@ use crate::router::{Placement, PoolView, Router, ShedReason};
 use crate::trace::FleetTrace;
 use std::collections::VecDeque;
 use tango_nets::NetworkKind;
+use tango_obs::{Domain, Phase};
 use tango_serve::{BatchCost, CostTable, DeviceSet, KindIndex, LatencySummary, Result, ServeError};
 
 /// What happened to one request.
@@ -437,9 +438,11 @@ fn run_fleet_inner(
                     }
                     let target = p.devices.target();
                     p.stats.peak_devices = p.stats.peak_devices.max(target);
-                    tango_obs::fleet_counter_at(
+                    tango_obs::track_event_at(
+                        Domain::Fleet,
                         now,
                         pool_track_base(i) + DEVICES_TRACK,
+                        Phase::Counter,
                         "fleet.pool",
                         "devices",
                         target as i64,
@@ -485,9 +488,11 @@ fn run_fleet_inner(
                     };
                     p.enqueue(req.class * nk + k, item, &batching);
                     queued += 1;
-                    tango_obs::fleet_counter_at(
+                    tango_obs::track_event_at(
+                        Domain::Fleet,
                         now,
                         pool_track_base(i) + PENDING_TRACK,
+                        Phase::Counter,
                         "fleet.queue",
                         "pending",
                         p.pending as i64,
@@ -503,7 +508,15 @@ fn run_fleet_inner(
                 }
                 Placement::Shed(reason) => {
                     sheds_since_eval += 1;
-                    tango_obs::fleet_instant_at(now, SHED_TRACK, "fleet.shed", reason.name());
+                    tango_obs::track_event_at(
+                        Domain::Fleet,
+                        now,
+                        SHED_TRACK,
+                        Phase::Instant,
+                        "fleet.shed",
+                        reason.name(),
+                        0,
+                    );
                     if let Some(m) = metrics.as_deref_mut() {
                         m.on_shed(now, req.class, reason);
                     }
@@ -536,7 +549,8 @@ fn run_fleet_inner(
                 let device = p.devices.dispatch(now, completed_ns).expect("peeked free device");
                 if tango_obs::is_enabled() {
                     let label = format!("{}x{batch_len}", kinds[k].name());
-                    tango_obs::fleet_span_at(
+                    tango_obs::track_span_at(
+                        Domain::Fleet,
                         now,
                         completed_ns,
                         pool_track_base(i) + device as u32,
@@ -567,9 +581,11 @@ fn run_fleet_inner(
                 p.pending -= batch_len;
                 queued -= batch_len;
                 in_flight += 1;
-                tango_obs::fleet_counter_at(
+                tango_obs::track_event_at(
+                    Domain::Fleet,
                     now,
                     pool_track_base(i) + PENDING_TRACK,
+                    Phase::Counter,
                     "fleet.queue",
                     "pending",
                     p.pending as i64,
@@ -781,9 +797,11 @@ mod reference {
                         }
                         let target = p.devices.target();
                         p.stats.peak_devices = p.stats.peak_devices.max(target);
-                        tango_obs::fleet_counter_at(
+                        tango_obs::track_event_at(
+                            Domain::Fleet,
                             now,
                             pool_track_base(i) + DEVICES_TRACK,
+                            Phase::Counter,
                             "fleet.pool",
                             "devices",
                             target as i64,
@@ -828,9 +846,11 @@ mod reference {
                             at_ns: req.at_ns,
                         });
                         p.pending += 1;
-                        tango_obs::fleet_counter_at(
+                        tango_obs::track_event_at(
+                            Domain::Fleet,
                             now,
                             pool_track_base(i) + PENDING_TRACK,
+                            Phase::Counter,
                             "fleet.queue",
                             "pending",
                             p.pending as i64,
@@ -846,7 +866,15 @@ mod reference {
                     }
                     Placement::Shed(reason) => {
                         sheds_since_eval += 1;
-                        tango_obs::fleet_instant_at(now, SHED_TRACK, "fleet.shed", reason.name());
+                        tango_obs::track_event_at(
+                            Domain::Fleet,
+                            now,
+                            SHED_TRACK,
+                            Phase::Instant,
+                            "fleet.shed",
+                            reason.name(),
+                            0,
+                        );
                         if let Some(m) = metrics.as_deref_mut() {
                             m.on_shed(now, req.class, reason);
                         }
@@ -881,7 +909,8 @@ mod reference {
                     let device = p.devices.dispatch(now, completed_ns).expect("peeked free device");
                     if tango_obs::is_enabled() {
                         let label = format!("{}x{batch_len}", kinds[k].name());
-                        tango_obs::fleet_span_at(
+                        tango_obs::track_span_at(
+                            Domain::Fleet,
                             now,
                             completed_ns,
                             pool_track_base(i) + device as u32,
@@ -906,9 +935,11 @@ mod reference {
                         }
                     }
                     p.pending -= batch_len;
-                    tango_obs::fleet_counter_at(
+                    tango_obs::track_event_at(
+                        Domain::Fleet,
                         now,
                         pool_track_base(i) + PENDING_TRACK,
+                        Phase::Counter,
                         "fleet.queue",
                         "pending",
                         p.pending as i64,

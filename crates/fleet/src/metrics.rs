@@ -25,6 +25,7 @@ use std::fmt::Write as _;
 use tango_obs::metrics::{
     escape_label_value, BurnAlert, MetricKind, MetricsRegistry, SeriesId, SloMonitor, SloPolicy, SloReport,
 };
+use tango_obs::{Domain, Phase};
 
 /// Shape of the metrics collection for one fleet run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -297,7 +298,7 @@ pub fn emit_alert_instants(report: &FleetMetricsReport) {
     }
     for a in report.alerts() {
         let name = format!("{}_burn:{}", a.severity.label(), a.objective);
-        tango_obs::fleet_instant_at(a.at, SLO_TRACK, "fleet.slo", &name);
+        tango_obs::track_event_at(Domain::Fleet, a.at, SLO_TRACK, Phase::Instant, "fleet.slo", &name, 0);
     }
 }
 

@@ -150,10 +150,16 @@ impl Suite {
         let _suite_span = tango_obs::is_enabled()
             .then(|| tango_obs::hspan("harness.suite", &format!("execute {} jobs x{} workers", self.jobs.len(), workers)));
 
+        // Workers record into this thread's recording, if it has one.
+        let recording = tango_obs::current_recording();
+
         std::thread::scope(|scope| {
             for w in 0..workers {
-                let (next, first_error) = (&next, &first_error);
+                let (next, first_error, recording) = (&next, &first_error, &recording);
                 scope.spawn(move || {
+                    if let Some(recording) = recording.clone() {
+                        recording.join();
+                    }
                     let _worker_span =
                         tango_obs::is_enabled().then(|| tango_obs::hspan("harness.worker", &format!("worker{w}")));
                     loop {

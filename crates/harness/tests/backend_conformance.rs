@@ -43,23 +43,20 @@ fn spec_for(kind: BackendKind, net: NetworkKind, precision: Precision) -> Backen
     }
 }
 
-/// Runs `spec` with tracing armed on this thread and returns the run
+/// Runs `spec` in a fresh recording on this thread and returns the run
 /// plus the cycles its `backend.launch` spans cover.
 fn traced(spec: &BackendRunSpec) -> (BackendRun, u64) {
-    tango_obs::reset_current_thread();
+    tango_obs::enable(1 << 20);
     let run = run_backend(spec).expect("backend run succeeds");
+    tango_obs::disable();
     let trace = tango_obs::drain();
     trace.check_nesting().expect("span tree nests");
     (run, trace.span_cycles("backend.launch"))
 }
 
-/// One test body because the obs recorder is process-global: the three
-/// backends share a single enable/disable window instead of racing.
 #[test]
 fn backends_are_deterministic_and_spans_cover_every_cycle() {
     let nets = [NetworkKind::CifarNet, NetworkKind::Gru];
-    tango_obs::disable();
-    tango_obs::enable(1 << 20);
     for kind in BackendKind::ALL {
         for net in nets {
             let spec = spec_for(kind, net, Precision::Fp32);
@@ -75,7 +72,6 @@ fn backends_are_deterministic_and_spans_cover_every_cycle() {
             assert_eq!(first_span_cycles, second_span_cycles);
         }
     }
-    tango_obs::disable();
 }
 
 #[test]

@@ -2,8 +2,9 @@
 //! serve a repeated suite with zero simulations, and parallel execution
 //! must leave the store bit-identical to serial execution.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use tango::{Characterizer, RunSource};
 use tango_harness::{encode_run, RunKey, RunStore, Suite};
 use tango_nets::{NetworkKind, Preset};
@@ -110,4 +111,45 @@ fn store_serves_characterizer_without_resimulating() {
     assert!(dir.join(RunKey::for_run(&spec).file_name()).exists());
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn suite_workers_record_into_the_callers_recording() {
+    let mut suite = Suite::new();
+    for kind in [NetworkKind::CifarNet, NetworkKind::Gru] {
+        suite.add_build(tango::BuildSpec {
+            preset: Preset::Tiny,
+            seed: SEED,
+            kind,
+        });
+    }
+    let (traced_dir, stranger_dir) = (scratch_dir("traced"), scratch_dir("stranger"));
+    let start = Barrier::new(2);
+    // The same suite runs at the same time on a thread that records
+    // nothing: its workers must not reach this thread's recording.
+    let (traced, stranger) = std::thread::scope(|s| {
+        let stranger = s.spawn(|| {
+            start.wait();
+            suite.execute(&RunStore::at(&stranger_dir), 2).expect("untraced pass");
+            tango_obs::drain()
+        });
+        tango_obs::enable(1 << 16);
+        start.wait();
+        suite.execute(&RunStore::at(&traced_dir), 2).expect("traced pass");
+        tango_obs::disable();
+        (tango_obs::drain(), stranger.join().expect("stranger thread"))
+    });
+    assert!(stranger.is_empty(), "{:?}", stranger.events);
+    traced.check_nesting().expect("span tree nests");
+    let tids = |cat: &str| -> Vec<u32> { traced.events.iter().filter(|e| e.cat == cat).map(|e| e.tid).collect() };
+    assert_eq!(tids("harness.suite"), [1, 1]);
+    let workers = tids("harness.worker");
+    assert_eq!(workers.len(), 4, "one span per worker: {:?}", traced.events);
+    let tracks: BTreeSet<u32> = workers.into_iter().collect();
+    assert_eq!(tracks.len(), 2);
+    assert!(!tracks.contains(&1), "workers record on tracks of their own");
+    assert_eq!(tids("harness.job").len(), 2 * suite.len());
+
+    let _ = std::fs::remove_dir_all(&traced_dir);
+    let _ = std::fs::remove_dir_all(&stranger_dir);
 }

@@ -17,25 +17,21 @@ fn spec() -> RunSpec {
     }
 }
 
-/// One traced simulation from a fresh recorder state on this thread.
+/// One traced simulation in a fresh recording on this thread.
 fn traced_run() -> (NetworkRun, Trace) {
-    tango_obs::reset_current_thread();
+    tango_obs::enable(1 << 20);
     let run = simulate_run(&spec()).expect("simulation succeeds");
+    tango_obs::disable();
     (run, tango_obs::drain())
 }
 
-/// A single test body because recorder state is process-global; the
-/// phases share one enable/disable window instead of racing over it.
 #[test]
 fn tracing_is_deterministic_and_output_neutral() {
     // Baseline: the untraced result.
-    tango_obs::disable();
     let untraced = simulate_run(&spec()).expect("simulation succeeds");
 
-    tango_obs::enable(1 << 20);
     let (first_run, first) = traced_run();
     let (second_run, second) = traced_run();
-    tango_obs::disable();
 
     // Tracing must not perturb the simulation: traced and untraced runs
     // agree on cycles and output bits.

@@ -31,19 +31,21 @@
 //! # Cost model
 //!
 //! Recording is **off by default and free when disabled**: every
-//! recording call starts with one relaxed atomic load and a branch, and
+//! recording call starts with one thread-local load and a branch, and
 //! no allocation, formatting, or locking happens unless tracing was
 //! enabled ([`enable`], usually via the `TANGO_TRACE` environment
-//! variable — see [`env`]). When enabled, each thread appends to its
-//! own bounded ring (`TANGO_TRACE_CAP` sets the bound); the newest
-//! events win, and the drop count is
-//! reported so a truncated trace is never mistaken for a complete one.
+//! variable — see [`env`]). A recording belongs to the thread that
+//! enabled it and to the threads that thread hands it to
+//! ([`current_recording`]); [`drain`] collects exactly those threads'
+//! events. Each of them appends to its own bounded ring
+//! (`TANGO_TRACE_CAP` sets the bound); the newest events win, and the
+//! drop count is reported so a truncated trace is never mistaken for a
+//! complete one.
 //!
 //! # Example
 //!
 //! ```
 //! tango_obs::enable(1024);
-//! tango_obs::reset_current_thread();
 //! {
 //!     let _outer = tango_obs::vspan("demo", "outer");
 //!     tango_obs::advance_virtual(10);
@@ -74,9 +76,8 @@ mod trace;
 pub use env::{write_chrome_file, DEFAULT_EVENT_CAP};
 pub use event::{Domain, Event, Phase};
 pub use recorder::{
-    advance_virtual, current_tid, disable, drain, emit, enable, engine_async_begin, engine_async_end,
-    engine_counter_at, engine_instant_at, engine_span_at, fleet_counter_at, fleet_instant_at, fleet_span_at,
-    hcounter, hinstant, host_now_ns, hspan, is_enabled, reset_current_thread, vcounter, vcounter_at, vinstant,
-    virtual_now, vspan, vspan_begin, vspan_end_at, SpanGuard,
+    advance_virtual, current_recording, disable, drain, enable, hcounter, hinstant, host_now_ns, hspan, is_enabled,
+    track_event_at, track_span_at, vcounter, vcounter_at, vinstant, virtual_now, vspan, vspan_begin, vspan_end_at,
+    RecordingHandle, SpanGuard,
 };
 pub use trace::Trace;

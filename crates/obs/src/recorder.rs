@@ -1,11 +1,18 @@
-//! The flight recorder: global gate, per-thread ring buffers, and the
+//! The flight recorder: per-thread recordings, ring buffers, and the
 //! virtual-cycle cursor.
 //!
-//! Recording is a three-step fast path: load one relaxed atomic (the
-//! gate), grab the thread's ring behind an uncontended mutex, append.
-//! Nothing allocates, formats, or locks when the gate is off — call
-//! sites that build dynamic names should themselves branch on
-//! [`is_enabled`] first.
+//! A *recording* belongs to the thread that called [`enable`] and to
+//! the threads that thread hands it to ([`current_recording`] →
+//! [`RecordingHandle::join`]); every other thread is unaffected, so two
+//! threads can record at once without seeing each other's events. Each
+//! participating thread appends to a ring of its own, on a track id
+//! that counts from 1 within the recording.
+//!
+//! Recording is a three-step fast path: load the thread's gate (one
+//! thread-local `bool`), grab the thread's ring behind an uncontended
+//! mutex, append. Nothing allocates, formats, or locks when the gate is
+//! off — call sites that build dynamic names should themselves branch
+//! on [`is_enabled`] first.
 //!
 //! Rings are *bounded*: when a ring is full the oldest event is dropped
 //! and counted, so a long run degrades into a flight recorder of the
@@ -15,15 +22,9 @@ use crate::event::{Domain, Event, Phase};
 use crate::trace::Trace;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static CAP: AtomicUsize = AtomicUsize::new(crate::env::DEFAULT_EVENT_CAP);
-static EPOCH: AtomicU64 = AtomicU64::new(0);
-static NEXT_TID: AtomicU32 = AtomicU32::new(1);
-static REGISTRY: Mutex<Vec<Arc<Mutex<Ring>>>> = Mutex::new(Vec::new());
 static HOST_EPOCH: OnceLock<Instant> = OnceLock::new();
 
 #[derive(Debug)]
@@ -44,36 +45,94 @@ impl Ring {
     }
 }
 
+/// One recording: the ring bound its threads share and their rings, in
+/// track-id order (a ring's track id is its position plus one).
+#[derive(Debug)]
+struct Recording {
+    cap: usize,
+    rings: Mutex<Vec<Arc<Mutex<Ring>>>>,
+}
+
+/// The recording this thread takes part in and its own ring there.
 struct Local {
+    recording: Arc<Recording>,
     ring: Arc<Mutex<Ring>>,
-    tid: u32,
-    epoch: u64,
 }
 
 thread_local! {
+    static ON: Cell<bool> = const { Cell::new(false) };
     static LOCAL: RefCell<Option<Local>> = const { RefCell::new(None) };
     static VCURSOR: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Turns recording on with a per-thread ring capacity of `cap` events
-/// (clamped to at least 1). Existing rings keep their events; their
-/// capacity is refreshed lazily on each thread's next append.
+/// Makes the calling thread record into `recording` on a fresh track,
+/// with its virtual cursor back at zero.
+fn install(recording: Arc<Recording>) {
+    let ring = {
+        let mut rings = recording.rings.lock().expect("obs recording lock");
+        let ring = Arc::new(Mutex::new(Ring {
+            tid: rings.len() as u32 + 1,
+            cap: recording.cap,
+            events: VecDeque::new(),
+            dropped: 0,
+        }));
+        rings.push(Arc::clone(&ring));
+        ring
+    };
+    LOCAL.with(|l| *l.borrow_mut() = Some(Local { recording, ring }));
+    VCURSOR.with(|c| c.set(0));
+    ON.with(|on| on.set(true));
+}
+
+/// Starts a fresh recording on the calling thread with a per-thread
+/// ring capacity of `cap` events (clamped to at least 1). The thread's
+/// previous recording, if any, is let go undrained; its virtual cursor
+/// restarts at zero and its track id at 1.
 pub fn enable(cap: usize) {
-    CAP.store(cap.max(1), Ordering::Relaxed);
-    EPOCH.fetch_add(1, Ordering::Relaxed);
-    ENABLED.store(true, Ordering::Release);
+    install(Arc::new(Recording {
+        cap: cap.max(1),
+        rings: Mutex::new(Vec::new()),
+    }));
 }
 
-/// Turns recording off. Buffered events stay drainable.
+/// Stops the calling thread recording. Its buffered events, and those of
+/// the threads it handed the recording to, stay drainable.
 pub fn disable() {
-    ENABLED.store(false, Ordering::Release);
+    ON.with(|on| on.set(false));
 }
 
-/// Whether recording is on. One relaxed load — the gate every recording
-/// call (and every call site building a dynamic name) checks first.
+/// Whether this thread is recording. One thread-local load — the gate
+/// every recording call (and every call site building a dynamic name)
+/// checks first.
 #[inline]
 pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Acquire)
+    ON.with(Cell::get)
+}
+
+/// A recording to hand to another thread: see [`current_recording`].
+#[derive(Debug, Clone)]
+pub struct RecordingHandle(Arc<Recording>);
+
+/// This thread's recording, for the threads it starts to
+/// [`join`](RecordingHandle::join); `None` when this thread is not
+/// recording.
+pub fn current_recording() -> Option<RecordingHandle> {
+    if !is_enabled() {
+        return None;
+    }
+    LOCAL.with(|l| {
+        l.borrow()
+            .as_ref()
+            .map(|local| RecordingHandle(Arc::clone(&local.recording)))
+    })
+}
+
+impl RecordingHandle {
+    /// Makes the calling thread record into this recording on a track
+    /// of its own, so the recording's owner drains its events too.
+    pub fn join(self) {
+        install(self.0);
+    }
 }
 
 /// Monotonic nanoseconds since the first host-clock observation of the
@@ -92,106 +151,54 @@ pub fn advance_virtual(cycles: u64) {
     VCURSOR.with(|c| c.set(c.get().saturating_add(cycles)));
 }
 
-/// This thread's track id, if it has recorded anything yet.
-pub fn current_tid() -> Option<u32> {
-    LOCAL.with(|l| l.borrow().as_ref().map(|local| local.tid))
-}
-
-/// Resets this thread's state for a fresh deterministic recording:
-/// clears its ring and drop count and zeroes the virtual cursor. The
-/// thread keeps its track id, so repeated traced runs on one thread
-/// produce byte-identical event streams.
-pub fn reset_current_thread() {
-    VCURSOR.with(|c| c.set(0));
+/// Appends an event to this thread's ring, on logical track `tid` or,
+/// when `None`, on the thread's own track. No-op when disabled.
+fn record(domain: Domain, ts: u64, tid: Option<u32>, phase: Phase, cat: &'static str, name: &str, value: i64) {
+    if !is_enabled() {
+        return;
+    }
     LOCAL.with(|l| {
         if let Some(local) = l.borrow().as_ref() {
             let mut ring = local.ring.lock().expect("obs ring lock");
-            ring.events.clear();
-            ring.dropped = 0;
-        }
-    });
-}
-
-/// Runs `f` with this thread's ring (allocating and registering it on
-/// first use), passing the thread's track id.
-fn with_local<R>(f: impl FnOnce(u32, &mut Ring) -> R) -> R {
-    LOCAL.with(|l| {
-        let mut slot = l.borrow_mut();
-        let epoch = EPOCH.load(Ordering::Relaxed);
-        let local = slot.get_or_insert_with(|| {
-            let tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-            let ring = Arc::new(Mutex::new(Ring {
+            let tid = tid.unwrap_or(ring.tid);
+            ring.push(Event {
+                domain,
                 tid,
-                cap: CAP.load(Ordering::Relaxed),
-                events: VecDeque::new(),
-                dropped: 0,
-            }));
-            REGISTRY.lock().expect("obs registry lock").push(Arc::clone(&ring));
-            Local { ring, tid, epoch }
-        });
-        let mut ring = local.ring.lock().expect("obs ring lock");
-        if local.epoch != epoch {
-            ring.cap = CAP.load(Ordering::Relaxed);
-            local.epoch = epoch;
+                ts,
+                phase,
+                cat,
+                name: name.to_string(),
+                value,
+            });
         }
-        f(local.tid, &mut ring)
-    })
-}
-
-/// Appends `event` to this thread's ring exactly as given (the caller
-/// chose the logical `tid` — engine events use device/queue tracks).
-/// No-op when disabled. Most call sites want the typed helpers
-/// ([`vspan`], [`vcounter`], [`engine_span_at`], ...) instead.
-pub fn emit(event: Event) {
-    if !is_enabled() {
-        return;
-    }
-    with_local(|_, ring| ring.push(event));
-}
-
-/// Appends an event on this thread's own track.
-fn thread_event(domain: Domain, ts: u64, phase: Phase, cat: &'static str, name: &str, value: i64) {
-    if !is_enabled() {
-        return;
-    }
-    with_local(|tid, ring| {
-        ring.push(Event {
-            domain,
-            tid,
-            ts,
-            phase,
-            cat,
-            name: name.to_string(),
-            value,
-        });
     });
 }
 
-/// Collects every thread's buffered events into a [`Trace`], emptying
-/// the rings (recording continues if still enabled). Tracks are ordered
-/// by track id; events within a track keep append order, which is
-/// chronological (every clock is monotonic per track).
+/// Collects this thread's recording — its own ring and those of the
+/// threads it handed the recording to — into a [`Trace`], emptying the
+/// rings (recording continues if still enabled). Tracks are ordered by
+/// track id; events within a track keep append order, which is
+/// chronological (every clock is monotonic per track). Empty when this
+/// thread has no recording.
 pub fn drain() -> Trace {
-    let registry = REGISTRY.lock().expect("obs registry lock");
-    let mut rings: Vec<&Arc<Mutex<Ring>>> = registry.iter().collect();
-    rings.sort_by_key(|r| r.lock().expect("obs ring lock").tid);
-    let mut events = Vec::new();
-    let mut dropped = 0;
-    let mut dropped_by_track = Vec::new();
-    for ring in rings {
+    let mut trace = Trace {
+        events: Vec::new(),
+        dropped: 0,
+        dropped_by_track: Vec::new(),
+    };
+    let Some(recording) = LOCAL.with(|l| l.borrow().as_ref().map(|local| Arc::clone(&local.recording))) else {
+        return trace;
+    };
+    for ring in recording.rings.lock().expect("obs recording lock").iter() {
         let mut ring = ring.lock().expect("obs ring lock");
         if ring.dropped > 0 {
-            dropped_by_track.push((ring.tid, ring.dropped));
+            trace.dropped_by_track.push((ring.tid, ring.dropped));
         }
-        dropped += ring.dropped;
+        trace.dropped += ring.dropped;
         ring.dropped = 0;
-        events.extend(ring.events.drain(..));
+        trace.events.extend(ring.events.drain(..));
     }
-    Trace {
-        events,
-        dropped,
-        dropped_by_track,
-    }
+    trace
 }
 
 /// An RAII span: emits its `End` event (at the domain's current clock)
@@ -211,7 +218,7 @@ impl Drop for SpanGuard {
                     unreachable!("engine/fleet spans are stamped explicitly")
                 }
             };
-            thread_event(domain, ts, Phase::End, cat, &name, 0);
+            record(domain, ts, None, Phase::End, cat, &name, 0);
         }
     }
 }
@@ -220,7 +227,7 @@ fn span(domain: Domain, ts: u64, cat: &'static str, name: &str) -> SpanGuard {
     if !is_enabled() {
         return SpanGuard { open: None };
     }
-    thread_event(domain, ts, Phase::Begin, cat, name, 0);
+    record(domain, ts, None, Phase::Begin, cat, name, 0);
     SpanGuard {
         open: Some((domain, cat, name.to_string())),
     }
@@ -244,27 +251,27 @@ pub fn hspan(cat: &'static str, name: &str) -> SpanGuard {
 /// for spans whose end timestamp is computed, like kernel launches
 /// closed by [`vspan_end_at`].
 pub fn vspan_begin(cat: &'static str, name: &str) {
-    thread_event(Domain::Virtual, virtual_now(), Phase::Begin, cat, name, 0);
+    record(Domain::Virtual, virtual_now(), None, Phase::Begin, cat, name, 0);
 }
 
 /// Closes a span opened by [`vspan_begin`] at the explicit cycle `ts`.
 pub fn vspan_end_at(ts: u64, cat: &'static str, name: &str) {
-    thread_event(Domain::Virtual, ts, Phase::End, cat, name, 0);
+    record(Domain::Virtual, ts, None, Phase::End, cat, name, 0);
 }
 
 /// Counter sample at the current virtual cursor.
 pub fn vcounter(cat: &'static str, name: &str, value: i64) {
-    thread_event(Domain::Virtual, virtual_now(), Phase::Counter, cat, name, value);
+    record(Domain::Virtual, virtual_now(), None, Phase::Counter, cat, name, value);
 }
 
 /// Counter sample at an explicit virtual cycle (mid-launch gauges).
 pub fn vcounter_at(ts: u64, cat: &'static str, name: &str, value: i64) {
-    thread_event(Domain::Virtual, ts, Phase::Counter, cat, name, value);
+    record(Domain::Virtual, ts, None, Phase::Counter, cat, name, value);
 }
 
 /// Instant marker at the current virtual cursor.
 pub fn vinstant(cat: &'static str, name: &str) {
-    thread_event(Domain::Virtual, virtual_now(), Phase::Instant, cat, name, 0);
+    record(Domain::Virtual, virtual_now(), None, Phase::Instant, cat, name, 0);
 }
 
 /// Host-clock counter sample (store hit totals, queue depths).
@@ -272,7 +279,7 @@ pub fn hcounter(cat: &'static str, name: &str, value: i64) {
     if !is_enabled() {
         return;
     }
-    thread_event(Domain::Host, host_now_ns(), Phase::Counter, cat, name, value);
+    record(Domain::Host, host_now_ns(), None, Phase::Counter, cat, name, value);
 }
 
 /// Host-clock instant marker.
@@ -280,234 +287,76 @@ pub fn hinstant(cat: &'static str, name: &str) {
     if !is_enabled() {
         return;
     }
-    thread_event(Domain::Host, host_now_ns(), Phase::Instant, cat, name, 0);
+    record(Domain::Host, host_now_ns(), None, Phase::Instant, cat, name, 0);
 }
 
-/// A complete engine-clock span `[begin_ts, end_ts]` on logical track
-/// `tid` (a device, in practice). Emitted as a B/E pair.
-pub fn engine_span_at(begin_ts: u64, end_ts: u64, tid: u32, cat: &'static str, name: &str) {
-    if !is_enabled() {
-        return;
+/// An event at explicit time `ts` on logical track `tid` — the serve
+/// engine's device and queue tracks ([`Domain::Engine`]) and the
+/// fleet's per-pool tracks ([`Domain::Fleet`]). `value` is the counter
+/// sample for [`Phase::Counter`] and the async id for
+/// [`Phase::AsyncBegin`]/[`Phase::AsyncEnd`]. Inlined so the engines'
+/// per-request call sites pay only the gate when disabled.
+#[inline]
+pub fn track_event_at(domain: Domain, ts: u64, tid: u32, phase: Phase, cat: &'static str, name: &str, value: i64) {
+    if is_enabled() {
+        record(domain, ts, Some(tid), phase, cat, name, value);
     }
-    emit(Event {
-        domain: Domain::Engine,
-        tid,
-        ts: begin_ts,
-        phase: Phase::Begin,
-        cat,
-        name: name.to_string(),
-        value: 0,
-    });
-    emit(Event {
-        domain: Domain::Engine,
-        tid,
-        ts: end_ts,
-        phase: Phase::End,
-        cat,
-        name: name.to_string(),
-        value: 0,
-    });
 }
 
-/// Engine-clock counter sample on logical track `tid`.
-pub fn engine_counter_at(ts: u64, tid: u32, cat: &'static str, name: &str, value: i64) {
-    if !is_enabled() {
-        return;
-    }
-    emit(Event {
-        domain: Domain::Engine,
-        tid,
-        ts,
-        phase: Phase::Counter,
-        cat,
-        name: name.to_string(),
-        value,
-    });
-}
-
-/// Engine-clock instant marker on logical track `tid`.
-pub fn engine_instant_at(ts: u64, tid: u32, cat: &'static str, name: &str) {
-    if !is_enabled() {
-        return;
-    }
-    emit(Event {
-        domain: Domain::Engine,
-        tid,
-        ts,
-        phase: Phase::Instant,
-        cat,
-        name: name.to_string(),
-        value: 0,
-    });
-}
-
-/// Opens an engine-clock async span (request lifecycles; may overlap).
-pub fn engine_async_begin(ts: u64, tid: u32, cat: &'static str, name: &str, id: u64) {
-    if !is_enabled() {
-        return;
-    }
-    emit(Event {
-        domain: Domain::Engine,
-        tid,
-        ts,
-        phase: Phase::AsyncBegin,
-        cat,
-        name: name.to_string(),
-        value: id as i64,
-    });
-}
-
-/// Closes an engine-clock async span by id.
-pub fn engine_async_end(ts: u64, tid: u32, cat: &'static str, name: &str, id: u64) {
-    if !is_enabled() {
-        return;
-    }
-    emit(Event {
-        domain: Domain::Engine,
-        tid,
-        ts,
-        phase: Phase::AsyncEnd,
-        cat,
-        name: name.to_string(),
-        value: id as i64,
-    });
-}
-
-/// A complete fleet-clock span `[begin_ts, end_ts]` (nanoseconds) on
-/// logical track `tid` (a per-pool device track, in practice).
-pub fn fleet_span_at(begin_ts: u64, end_ts: u64, tid: u32, cat: &'static str, name: &str) {
-    if !is_enabled() {
-        return;
-    }
-    emit(Event {
-        domain: Domain::Fleet,
-        tid,
-        ts: begin_ts,
-        phase: Phase::Begin,
-        cat,
-        name: name.to_string(),
-        value: 0,
-    });
-    emit(Event {
-        domain: Domain::Fleet,
-        tid,
-        ts: end_ts,
-        phase: Phase::End,
-        cat,
-        name: name.to_string(),
-        value: 0,
-    });
-}
-
-/// Fleet-clock counter sample on logical track `tid` (queue depths,
-/// pool sizes, shed totals).
-pub fn fleet_counter_at(ts: u64, tid: u32, cat: &'static str, name: &str, value: i64) {
-    if !is_enabled() {
-        return;
-    }
-    emit(Event {
-        domain: Domain::Fleet,
-        tid,
-        ts,
-        phase: Phase::Counter,
-        cat,
-        name: name.to_string(),
-        value,
-    });
-}
-
-/// Fleet-clock instant marker on logical track `tid` (sheds, scale
-/// events).
-pub fn fleet_instant_at(ts: u64, tid: u32, cat: &'static str, name: &str) {
-    if !is_enabled() {
-        return;
-    }
-    emit(Event {
-        domain: Domain::Fleet,
-        tid,
-        ts,
-        phase: Phase::Instant,
-        cat,
-        name: name.to_string(),
-        value: 0,
-    });
+/// A complete span `[begin_ts, end_ts]` on logical track `tid`,
+/// emitted as a B/E pair.
+pub fn track_span_at(domain: Domain, begin_ts: u64, end_ts: u64, tid: u32, cat: &'static str, name: &str) {
+    track_event_at(domain, begin_ts, tid, Phase::Begin, cat, name, 0);
+    track_event_at(domain, end_ts, tid, Phase::End, cat, name, 0);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // Recorder state is process-global; tests that record serialize
-    // here and drain fully before releasing, so they never see each
-    // other's events.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn own_events(trace: &Trace) -> Vec<&Event> {
-        let tid = current_tid().expect("thread has recorded");
-        trace.events.iter().filter(|e| e.tid == tid).collect()
-    }
+    use std::collections::BTreeSet;
+    use std::sync::Barrier;
 
     #[test]
     fn disabled_recording_is_silent() {
-        let _g = lock();
-        disable();
-        reset_current_thread();
         {
             let _s = vspan("test", "ignored");
             vcounter("test", "ignored", 1);
             advance_virtual(10);
         }
+        assert!(drain().is_empty(), "no recording, nothing to drain");
         enable(64);
-        let trace = drain();
-        if current_tid().is_some() {
-            assert!(own_events(&trace).is_empty());
-        }
         disable();
+        let _s = vspan("test", "ignored");
+        vinstant("test", "ignored");
+        assert!(current_recording().is_none(), "a disarmed thread hands nothing on");
+        assert!(drain().is_empty());
     }
 
     #[test]
     fn rings_drop_oldest_and_count() {
-        let _g = lock();
         enable(4);
-        reset_current_thread();
         for i in 0..6 {
             vcounter("test", "n", i);
         }
+        disable();
         let trace = drain();
-        let mine = own_events(&trace);
-        assert_eq!(mine.len(), 4);
-        // Newest events win: the first two samples were dropped.
-        assert_eq!(mine[0].value, 2);
-        assert_eq!(mine[3].value, 5);
-        assert!(trace.dropped >= 2);
-        // The drop is attributed to this thread's ring, by track id.
-        let tid = current_tid().expect("recorded");
-        assert!(
-            trace.dropped_by_track.iter().any(|&(t, d)| t == tid && d >= 2),
-            "{:?}",
-            trace.dropped_by_track
-        );
-        // Attribution totals match the aggregate count.
-        let sum: u64 = trace.dropped_by_track.iter().map(|&(_, d)| d).sum();
-        assert_eq!(sum, trace.dropped);
+        // Newest events win: the first two samples were dropped, and the
+        // drop is attributed to this thread's ring, track 1.
+        let values: Vec<i64> = trace.events.iter().map(|e| e.value).collect();
+        assert_eq!(values, [2, 3, 4, 5]);
+        assert_eq!(trace.dropped, 2);
+        assert_eq!(trace.dropped_by_track, [(1, 2)]);
         // And it shows up in the rendered summary.
         let summary = trace.text_summary();
         assert!(
-            summary.contains(&format!("track {tid}: ")) && summary.contains("events dropped"),
+            summary.contains("track 1: ") && summary.contains("events dropped"),
             "{summary}"
         );
-        disable();
     }
 
     #[test]
     fn guards_nest_and_advance_virtual_time() {
-        let _g = lock();
         enable(64);
-        reset_current_thread();
         {
             let _outer = vspan("test.outer", "o");
             advance_virtual(100);
@@ -527,59 +376,80 @@ mod tests {
 
     #[test]
     fn repeated_runs_are_byte_identical() {
-        let _g = lock();
-        enable(256);
         let run = || {
-            reset_current_thread();
-            let _span = vspan("test.run", "body");
+            enable(256);
+            let span = vspan("test.run", "body");
             advance_virtual(42);
             vcounter("test.run", "samples", 3);
             vinstant("test.run", "mark");
-            drop(_span);
-            let trace = drain();
-            let tid = current_tid().expect("recorded");
-            let events: Vec<Event> = trace.events.into_iter().filter(|e| e.tid == tid).collect();
-            Trace {
-                events,
-                dropped: trace.dropped,
-                dropped_by_track: trace.dropped_by_track,
-            }
+            drop(span);
+            disable();
+            drain()
         };
         let first = run();
         let second = run();
         assert_eq!(first.chrome_json(), second.chrome_json());
-        assert!(!first.is_empty());
-        disable();
+        assert_eq!(first.events.len(), 4);
     }
 
     #[test]
-    fn tid_is_stable_across_enable_epochs() {
-        let _g = lock();
-        enable(16);
-        vinstant("test", "a");
-        let before = current_tid().expect("recorded");
+    fn recordings_on_two_threads_never_mix() {
+        let barrier = Barrier::new(2);
+        let trace_one = |name: &'static str| {
+            enable(64);
+            barrier.wait();
+            vinstant("test.mix", name);
+            barrier.wait();
+            let trace = drain();
+            disable();
+            trace
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| trace_one("a"));
+            let b = s.spawn(|| trace_one("b"));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        for (trace, name) in [(a, "a"), (b, "b")] {
+            assert_eq!(trace.events.len(), 1, "{name}: {:?}", trace.events);
+            assert_eq!((trace.events[0].tid, trace.events[0].name.as_str()), (1, name));
+        }
+    }
+
+    #[test]
+    fn joined_threads_record_on_their_own_tracks() {
+        enable(64);
+        vinstant("test.join", "owner");
+        let recording = current_recording().expect("recording");
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                let recording = recording.clone();
+                s.spawn(move || {
+                    recording.join();
+                    vinstant("test.join", "worker");
+                });
+            }
+            // A thread that did not join records nothing here.
+            s.spawn(|| vinstant("test.join", "stranger"));
+        });
         disable();
-        enable(32);
-        vinstant("test", "b");
-        assert_eq!(current_tid(), Some(before));
-        drain();
-        disable();
+        let trace = drain();
+        let tids: BTreeSet<u32> = trace.events.iter().map(|e| e.tid).collect();
+        assert_eq!(tids, BTreeSet::from([1, 2, 3]));
+        let names: Vec<&str> = trace.events.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["owner", "worker", "worker"]);
     }
 
     #[test]
     fn engine_events_keep_their_logical_track() {
-        let _g = lock();
         enable(64);
-        reset_current_thread();
-        engine_span_at(5, 900, 2, "test.batch", "b0");
-        engine_counter_at(6, 2, "test.queue", "depth", 3);
-        engine_async_begin(1, 2, "test.req", "r", 17);
-        engine_async_end(9, 2, "test.req", "r", 17);
+        track_span_at(Domain::Engine, 5, 900, 2, "test.batch", "b0");
+        track_event_at(Domain::Engine, 6, 2, Phase::Counter, "test.queue", "depth", 3);
+        track_event_at(Domain::Engine, 1, 2, Phase::AsyncBegin, "test.req", "r", 17);
+        track_event_at(Domain::Engine, 9, 2, Phase::AsyncEnd, "test.req", "r", 17);
         let trace = drain();
         trace.check_nesting().unwrap();
-        let batch: Vec<&Event> = trace.events.iter().filter(|e| e.cat == "test.batch").collect();
-        assert_eq!(batch.len(), 2);
-        assert!(batch.iter().all(|e| e.tid == 2 && e.domain == Domain::Engine));
+        assert_eq!(trace.events.len(), 5);
+        assert!(trace.events.iter().all(|e| e.tid == 2 && e.domain == Domain::Engine));
         assert_eq!(trace.span_cycles("test.batch"), 895);
         disable();
     }

@@ -25,6 +25,7 @@ use crate::tables::{CostTable, KindIndex};
 use crate::trace::ArrivalTrace;
 use std::collections::VecDeque;
 use tango_nets::NetworkKind;
+use tango_obs::{Domain, Phase};
 
 /// What happened to one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,25 +179,43 @@ pub fn run_trace(trace: &ArrivalTrace, config: &ServeConfig, cost: &dyn CostMode
             let queue = &mut queues[k];
             records[next_arrival].outcome = if queue.len() >= config.queue_bound {
                 shed_total += 1;
-                tango_obs::engine_instant_at(now, qtrack, "serve.request", "shed");
-                tango_obs::engine_counter_at(now, qtrack, "serve.queue", "shed_total", shed_total);
+                tango_obs::track_event_at(Domain::Engine, now, qtrack, Phase::Instant, "serve.request", "shed", 0);
+                tango_obs::track_event_at(
+                    Domain::Engine,
+                    now,
+                    qtrack,
+                    Phase::Counter,
+                    "serve.queue",
+                    "shed_total",
+                    shed_total,
+                );
                 Outcome::Shed { queue_len: queue.len() }
             } else {
                 // Request lifecycle opens here (enqueue) and closes when
                 // its batch completes; async spans because requests on
                 // one queue overlap freely.
-                tango_obs::engine_async_begin(
+                tango_obs::track_event_at(
+                    Domain::Engine,
                     arrival.at_cycle,
                     qtrack,
+                    Phase::AsyncBegin,
                     "serve.request",
                     arrival.kind.name(),
-                    next_arrival as u64,
+                    next_arrival as i64,
                 );
                 queue.push_back(Queued {
                     record_idx: next_arrival,
                     arrival: arrival.at_cycle,
                 });
-                tango_obs::engine_counter_at(now, qtrack, "serve.queue", "depth", queue.len() as i64);
+                tango_obs::track_event_at(
+                    Domain::Engine,
+                    now,
+                    qtrack,
+                    Phase::Counter,
+                    "serve.queue",
+                    "depth",
+                    queue.len() as i64,
+                );
                 // Marked completed when its batch retires; a request
                 // still queued at trace end simply waits for a device
                 // (the loop drains queues before exiting).
@@ -228,11 +247,19 @@ pub fn run_trace(trace: &ArrivalTrace, config: &ServeConfig, cost: &dyn CostMode
             let qtrack = QUEUE_TRACK_BASE + k as u32;
             if tango_obs::is_enabled() {
                 let label = format!("{}x{batch_len}", kinds[k].name());
-                tango_obs::engine_span_at(now, completed, device as u32, "serve.batch", &label);
+                tango_obs::track_span_at(Domain::Engine, now, completed, device as u32, "serve.batch", &label);
             }
             for _ in 0..batch_len {
                 let item = queue.pop_front().expect("batch_len items queued");
-                tango_obs::engine_async_end(completed, qtrack, "serve.request", kinds[k].name(), item.record_idx as u64);
+                tango_obs::track_event_at(
+                    Domain::Engine,
+                    completed,
+                    qtrack,
+                    Phase::AsyncEnd,
+                    "serve.request",
+                    kinds[k].name(),
+                    item.record_idx as i64,
+                );
                 records[item.record_idx].outcome = Outcome::Completed {
                     dispatched: now,
                     completed,
@@ -240,7 +267,15 @@ pub fn run_trace(trace: &ArrivalTrace, config: &ServeConfig, cost: &dyn CostMode
                     device,
                 };
             }
-            tango_obs::engine_counter_at(now, qtrack, "serve.queue", "depth", queue.len() as i64);
+            tango_obs::track_event_at(
+                Domain::Engine,
+                now,
+                qtrack,
+                Phase::Counter,
+                "serve.queue",
+                "depth",
+                queue.len() as i64,
+            );
             makespan = makespan.max(completed);
             batches += 1;
         }

@@ -134,11 +134,19 @@ impl Service {
             queue_bound: config.queue_bound,
             max_batch: config.max_batch as usize,
         });
+        // Workers record into the starting thread's recording, if any.
+        let recording = tango_obs::current_recording();
         let workers = (0..config.workers)
             .map(|_| {
                 let shared = Arc::clone(&shared);
                 let config = config.clone();
-                std::thread::spawn(move || worker_loop(&shared, &config))
+                let recording = recording.clone();
+                std::thread::spawn(move || {
+                    if let Some(recording) = recording {
+                        recording.join();
+                    }
+                    worker_loop(&shared, &config)
+                })
             })
             .collect();
         Ok(Service { shared, workers })

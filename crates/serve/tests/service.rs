@@ -127,3 +127,24 @@ fn clients_on_threads_all_complete() {
         Err(_) => panic!("all clients joined; the Arc must be unique"),
     }
 }
+
+#[test]
+fn workers_record_into_the_starters_recording() {
+    // Started while this thread records: the worker's batch spans land in
+    // this thread's drain, on the worker's own track.
+    tango_obs::enable(1 << 16);
+    let service = Service::start(config(1, 64, 8)).expect("start");
+    tango_obs::disable();
+    service.submit(NetworkKind::Gru, 1).expect("admitted").wait().expect("completed");
+    service.shutdown();
+    let trace = tango_obs::drain();
+    let batches: Vec<_> = trace.events.iter().filter(|e| e.cat == "serve.batch").collect();
+    assert_eq!(batches.len(), 2, "one batch span: {:?}", trace.events);
+    assert!(batches.iter().all(|e| e.domain == tango_obs::Domain::Host && e.tid == 2));
+
+    // Started while this thread does not record: the workers record nothing.
+    let service = Service::start(config(1, 64, 8)).expect("start");
+    service.submit(NetworkKind::Gru, 1).expect("admitted").wait().expect("completed");
+    service.shutdown();
+    assert!(tango_obs::drain().is_empty());
+}

@@ -32,9 +32,10 @@
 //! again), and returns a clone of the recorded [`KernelStats`] —
 //! bit-for-bit what full simulation would produce.
 //!
-//! Tracing (`tango_obs`) disables the memo wholesale: traced runs must
-//! emit their full span/counter streams, and because the memo is exact,
-//! the traced-vs-untraced byte-identity gate in ci.sh still holds.
+//! Tracing (`tango_obs`) disables the memo on the thread that records:
+//! traced runs must emit their full span/counter streams, and because
+//! the memo is exact, the traced-vs-untraced byte-identity gate in
+//! ci.sh still holds.
 
 use crate::config::{CacheGeometry, GpuConfig, PowerConstants, SimOptions};
 use crate::mem::GlobalMemory;
@@ -101,9 +102,10 @@ pub fn env_enabled() -> bool {
 }
 
 /// Resolves whether a launch may use the memo: the per-launch option wins
-/// over the environment, and tracing always wins over both (a traced run
-/// must really execute to emit its spans; exactness keeps its *outputs*
-/// identical either way).
+/// over the environment, and tracing wins over both while this thread
+/// records (a traced run must really execute to emit its spans; exactness
+/// keeps its *outputs* identical either way). Other threads' recordings
+/// do not matter.
 pub(crate) fn enabled(opt: Option<bool>) -> bool {
     !tango_obs::is_enabled() && opt.unwrap_or_else(env_enabled)
 }

@@ -7,6 +7,7 @@
 //! instead of the `TANGO_SIM_MEMO` environment variable, so the two paths
 //! can be compared race-free inside one test process.
 
+use std::sync::Barrier;
 use tango_isa::{DType, Dim3, KernelBuilder, KernelProgram, Operand};
 use tango_sim::{Gpu, GpuConfig, SimOptions, StepStatus};
 
@@ -393,4 +394,28 @@ fn a_frame_dropped_after_a_replay_leaves_the_entry_and_a_fresh_tag() {
     assert_eq!(third.first(true), (true, ref_first));
     assert_eq!(third.second(true), (true, ref_second));
     assert_eq!(third.output(), ref_out);
+}
+
+#[test]
+fn another_threads_recording_leaves_the_memo_on_here() {
+    // Tracing turns the memo off only on the thread that records: while
+    // another thread holds a recording, this one still records and
+    // replays launches.
+    let tag = "memo_beside_a_recording";
+    let (armed, done) = (Barrier::new(2), Barrier::new(2));
+    let (recorded, replayed) = std::thread::scope(|s| {
+        s.spawn(|| {
+            tango_obs::enable(64);
+            armed.wait();
+            done.wait();
+            tango_obs::disable();
+        });
+        armed.wait();
+        let recorded = Chain::new(tag).first(true).0;
+        let replayed = Chain::new(tag).first(true).0;
+        done.wait();
+        (recorded, replayed)
+    });
+    assert!(!recorded, "first launch must simulate");
+    assert!(replayed, "second launch must replay");
 }
