@@ -362,6 +362,13 @@ for f in BENCH_sim.json BENCH_serve.json BENCH_fleet.json; do
         grep -E '^(perfdiff|no gating rate)' "$SCRATCH/perf/${f}.diff"
     fi
 done
+# The memo table's footprint is a count that repeats exactly run to run,
+# unlike the rates above, so it gates: it may not exceed the committed one.
+if command -v python3 >/dev/null 2>&1; then
+    python3 -c 'import json,sys; old,new=(json.load(open(f))["memo_table_bytes"] for f in sys.argv[1:]); print(f"memo_table_bytes {new} (committed {old})"); sys.exit(new > old)' \
+        results/BENCH_sim.json "$SCRATCH/perf/BENCH_sim.json" ||
+        { echo "FAIL: memo_table_bytes grew past results/BENCH_sim.json's" >&2; exit 1; }
+fi
 
 section "ci.sh: all gates passed"
 echo "-- total: ${SECONDS} s"

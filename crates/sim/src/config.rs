@@ -52,10 +52,13 @@ impl CacheGeometry {
     ///
     /// # Panics
     ///
-    /// Panics if any field is zero or the capacity is not divisible into
-    /// whole sets.
+    /// Panics if any field is zero, if a line is shorter than 2 bytes, or
+    /// if the capacity is not divisible into whole sets. Lines of 2 bytes
+    /// or more keep every line address below `u32::MAX`, which the cache
+    /// model uses as its empty-way marker.
     pub fn new(size_bytes: u32, line_bytes: u32, assoc: u32) -> Self {
         assert!(size_bytes > 0 && line_bytes > 0 && assoc > 0, "cache geometry fields must be positive");
+        assert!(line_bytes >= 2, "cache lines must be at least 2 bytes");
         assert_eq!(
             size_bytes % (line_bytes * assoc),
             0,
@@ -505,6 +508,12 @@ mod tests {
     #[should_panic(expected = "whole number of sets")]
     fn bad_geometry_panics() {
         CacheGeometry::new(1000, 128, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 2 bytes")]
+    fn one_byte_lines_panic() {
+        CacheGeometry::new(64, 1, 4);
     }
 
     #[test]

@@ -231,6 +231,15 @@ mod tests {
     }
 
     #[test]
+    fn a_gp102_snapshot_is_four_bytes_per_l2_way() {
+        let m = MemorySystem::new(&GpuConfig::gp102());
+        assert_eq!(
+            m.snapshot_bytes(),
+            24_576 * 4 + std::mem::size_of::<MemorySystem>()
+        );
+    }
+
+    #[test]
     fn sharing_copies_nothing_and_ownership_copies_once() {
         let cfg = GpuConfig::gp102();
         let mut device = Hierarchy::Owned(MemorySystem::new(&cfg));
