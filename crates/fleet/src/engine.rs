@@ -19,53 +19,46 @@ use crate::metrics::{emit_alert_instants, FleetMetrics, FleetMetricsConfig, Flee
 use crate::router::{Placement, PoolView, Router, ShedReason};
 use crate::trace::FleetTrace;
 use std::collections::VecDeque;
-use tango_nets::NetworkKind;
 use tango_obs::{Domain, Phase};
 use tango_serve::{BatchCost, CostTable, DeviceSet, KindIndex, LatencySummary, Result, ServeError};
 
-/// What happened to one request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FleetOutcome {
-    /// Admitted, routed, batched, executed.
-    Completed {
-        /// Pool that ran it.
-        pool: usize,
-        /// Device within the pool.
-        device: usize,
-        /// Nanosecond its batch left the queue.
-        dispatched_ns: u64,
-        /// Nanosecond its batch completed.
-        completed_ns: u64,
-        /// Requests in its batch.
-        batch: u32,
-    },
-    /// Rejected at admission.
-    Shed {
-        /// Why.
-        reason: ShedReason,
-    },
+/// What became of a run's requests, one column per priority class.
+///
+/// An admitted request takes the next slot of its class's latency
+/// column and its batch's completion writes its latency there, so a
+/// column lists its class's completions in trace order; a shed only
+/// counts, by class and reason. That is 8 bytes per request at most.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ClassOutcomes {
+    /// Per class: end-to-end latency (ns) of each completed request.
+    latencies: Vec<Vec<u64>>,
+    /// Per class: requests shed at admission, indexed like
+    /// [`ShedReason::ALL`].
+    sheds: Vec<[usize; ShedReason::ALL.len()]>,
+    /// Requests in the trace.
+    requests: usize,
 }
 
-/// Full accounting for one request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FleetRecord {
-    /// The network requested.
-    pub kind: NetworkKind,
-    /// Priority class index.
-    pub class: usize,
-    /// Arrival nanosecond (from the trace).
-    pub arrival_ns: u64,
-    /// Outcome.
-    pub outcome: FleetOutcome,
-}
+impl ClassOutcomes {
+    /// Requests in the trace, completed or shed.
+    pub fn len(&self) -> usize {
+        self.requests
+    }
 
-impl FleetRecord {
-    /// End-to-end latency in nanoseconds, or `None` when shed.
-    pub fn latency_ns(&self) -> Option<u64> {
-        match self.outcome {
-            FleetOutcome::Completed { completed_ns, .. } => Some(completed_ns - self.arrival_ns),
-            FleetOutcome::Shed { .. } => None,
-        }
+    /// Whether the trace was empty.
+    pub fn is_empty(&self) -> bool {
+        self.requests == 0
+    }
+
+    /// Latencies (ns) of `class`'s completed requests, in trace order;
+    /// empty for a class the fleet does not define.
+    pub fn latencies(&self, class: usize) -> &[u64] {
+        self.latencies.get(class).map_or(&[], Vec::as_slice)
+    }
+
+    /// Requests of `class` shed for `reason`.
+    pub fn shed(&self, class: usize, reason: ShedReason) -> usize {
+        self.sheds.get(class).map_or(0, |by| by[reason as usize])
     }
 }
 
@@ -109,8 +102,8 @@ impl PoolStats {
 /// The result of replaying a fleet trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
-    /// Per-request accounting, in trace order.
-    pub records: Vec<FleetRecord>,
+    /// Per-class accounting; `records.len()` is the request count.
+    pub records: ClassOutcomes,
     /// Per-pool accounting, in pool order.
     pub pools: Vec<PoolStats>,
     /// Nanosecond the last batch completed (0 for an empty trace).
@@ -120,20 +113,17 @@ pub struct FleetReport {
 impl FleetReport {
     /// Requests that completed.
     pub fn completed(&self) -> usize {
-        self.records.iter().filter(|r| r.latency_ns().is_some()).count()
+        self.records.latencies.iter().map(Vec::len).sum()
     }
 
     /// Requests shed at admission.
     pub fn shed(&self) -> usize {
-        self.records.len() - self.completed()
+        self.records.sheds.iter().flatten().sum()
     }
 
     /// Requests shed for `reason`.
     pub fn shed_by(&self, reason: ShedReason) -> usize {
-        self.records
-            .iter()
-            .filter(|r| matches!(r.outcome, FleetOutcome::Shed { reason: rr } if rr == reason))
-            .count()
+        self.records.sheds.iter().map(|by| by[reason as usize]).sum()
     }
 
     /// Shed fraction of all requests (0 for an empty trace).
@@ -147,13 +137,7 @@ impl FleetReport {
     /// Latency summary over completed requests of `class` (`None` if
     /// none completed).
     pub fn class_latency(&self, class: usize) -> Option<LatencySummary> {
-        let latencies = self
-            .records
-            .iter()
-            .filter(|r| r.class == class)
-            .filter_map(|r| r.latency_ns())
-            .collect();
-        LatencySummary::from_latencies(latencies)
+        LatencySummary::from_latencies(self.records.latencies(class).to_vec())
     }
 
     /// Total joules across pools.
@@ -172,7 +156,8 @@ impl FleetReport {
 }
 
 struct Queued {
-    record_idx: usize,
+    /// The request's slot in its class's latency column.
+    slot: usize,
     at_ns: u64,
 }
 
@@ -345,16 +330,25 @@ fn run_fleet_inner(
     };
 
     let requests = trace.requests();
-    // One record per request, pushed as it arrives: `records[i]` is
-    // request `i` of the trace.
-    let mut records: Vec<FleetRecord> = Vec::with_capacity(requests.len());
+    // Each class's column is sized to its share of the trace, so the
+    // columns together hold one slot per request and never regrow.
+    let classes = config.classes.len();
+    let mut per_class = vec![0usize; classes];
+    for req in requests {
+        per_class[req.class] += 1;
+    }
+    let mut outcomes = ClassOutcomes {
+        latencies: per_class.into_iter().map(Vec::with_capacity).collect(),
+        sheds: vec![[0; ShedReason::ALL.len()]; classes],
+        requests: requests.len(),
+    };
 
     let mut pools: Vec<PoolState> = config
         .pools
         .iter()
         .map(|spec| PoolState {
             devices: DeviceSet::new(spec.devices),
-            queues: (0..config.classes.len() * nk).map(|_| VecDeque::new()).collect(),
+            queues: (0..classes * nk).map(|_| VecDeque::new()).collect(),
             pending: 0,
             nonempty: 0,
             ready_at: u64::MAX,
@@ -479,13 +473,18 @@ fn run_fleet_inner(
             if let Some(m) = metrics.as_deref_mut() {
                 m.on_arrival(req.at_ns, req.class);
             }
-            let outcome = match router.place(&views, config.queue_bound, slo) {
+            match router.place(&views, config.queue_bound, slo) {
                 Placement::Pool(i) => {
                     let p = &mut pools[i];
+                    // The slot's latency is written when its batch
+                    // retires; admitted requests always complete (the
+                    // loop drains queues).
+                    let column = &mut outcomes.latencies[req.class];
                     let item = Queued {
-                        record_idx: next_arrival,
+                        slot: column.len(),
                         at_ns: req.at_ns,
                     };
+                    column.push(0);
                     p.enqueue(req.class * nk + k, item, &batching);
                     queued += 1;
                     tango_obs::track_event_at(
@@ -500,14 +499,10 @@ fn run_fleet_inner(
                     if let Some(m) = metrics.as_deref_mut() {
                         m.on_pending(now, i, p.pending);
                     }
-                    // Overwritten when its batch retires; admitted
-                    // requests always complete (the loop drains queues).
-                    FleetOutcome::Shed {
-                        reason: ShedReason::NoCapacity,
-                    }
                 }
                 Placement::Shed(reason) => {
                     sheds_since_eval += 1;
+                    outcomes.sheds[req.class][reason as usize] += 1;
                     tango_obs::track_event_at(
                         Domain::Fleet,
                         now,
@@ -520,15 +515,8 @@ fn run_fleet_inner(
                     if let Some(m) = metrics.as_deref_mut() {
                         m.on_shed(now, req.class, reason);
                     }
-                    FleetOutcome::Shed { reason }
                 }
-            };
-            records.push(FleetRecord {
-                kind: req.kind,
-                class: req.class,
-                arrival_ns: req.at_ns,
-                outcome,
-            });
+            }
             next_arrival += 1;
         }
 
@@ -558,20 +546,14 @@ fn run_fleet_inner(
                         &label,
                     );
                 }
+                let column = &mut outcomes.latencies[class];
                 for _ in 0..batch_len {
                     let item = p.queues[qi].pop_front().expect("batch_len items queued");
-                    records[item.record_idx].outcome = FleetOutcome::Completed {
-                        pool: i,
-                        device,
-                        dispatched_ns: now,
-                        completed_ns,
-                        batch: batch_len as u32,
-                    };
+                    let latency = completed_ns - item.at_ns;
+                    column[item.slot] = latency;
                     if let Some(m) = metrics.as_deref_mut() {
-                        let rec = &records[item.record_idx];
-                        let latency = completed_ns - rec.arrival_ns;
-                        let slo_met = config.classes[rec.class].slo_ns.map(|slo| latency <= slo);
-                        m.on_complete(completed_ns, rec.class, latency, slo_met);
+                        let slo_met = config.classes[class].slo_ns.map(|slo| latency <= slo);
+                        m.on_complete(completed_ns, class, latency, slo_met);
                     }
                 }
                 if p.queues[qi].is_empty() {
@@ -647,20 +629,71 @@ fn run_fleet_inner(
         })
         .collect();
     Ok(FleetReport {
-        records,
+        records: outcomes,
         pools,
         makespan_ns: makespan,
     })
 }
 
-/// The event loop as it stood before it was indexed by its events,
-/// moved here verbatim: every iteration retires on every pool, walks
-/// every queue twice and multiplies a `u128` per pool. It is the oracle
+/// The event loop as it stood before it was indexed by its events:
+/// every iteration retires on every pool, walks every queue twice and
+/// multiplies a `u128` per pool, and every request gets a record, which
+/// [`project`] folds into a report's columns. It is the oracle
 /// [`differential`] compares the loop above with, report for report.
 #[cfg(test)]
 mod reference {
     use super::*;
     use std::collections::BTreeMap;
+    use tango_nets::NetworkKind;
+
+    /// What happened to one request, as far as a report keeps it.
+    enum FleetOutcome {
+        /// Admitted, routed, batched, executed.
+        Completed {
+            /// Nanosecond its batch completed.
+            completed_ns: u64,
+        },
+        /// Rejected at admission.
+        Shed {
+            /// Why.
+            reason: ShedReason,
+        },
+    }
+
+    /// Accounting for one request.
+    struct FleetRecord {
+        /// Priority class index.
+        class: usize,
+        /// Arrival nanosecond (from the trace).
+        arrival_ns: u64,
+        /// Outcome.
+        outcome: FleetOutcome,
+    }
+
+    struct Queued {
+        record_idx: usize,
+        at_ns: u64,
+    }
+
+    /// The per-request records, in trace order, as the report keeps
+    /// them: per class, the latencies of its completed requests in trace
+    /// order, and its sheds by reason.
+    fn project(records: &[FleetRecord], classes: usize) -> ClassOutcomes {
+        let mut outcomes = ClassOutcomes {
+            latencies: vec![Vec::new(); classes],
+            sheds: vec![[0; ShedReason::ALL.len()]; classes],
+            requests: records.len(),
+        };
+        for r in records {
+            match r.outcome {
+                FleetOutcome::Completed { completed_ns } => {
+                    outcomes.latencies[r.class].push(completed_ns - r.arrival_ns)
+                }
+                FleetOutcome::Shed { reason } => outcomes.sheds[r.class][reason as usize] += 1,
+            }
+        }
+        outcomes
+    }
 
     /// One pool's live scheduling state.
     struct PoolState {
@@ -707,7 +740,6 @@ mod reference {
         let mut records: Vec<FleetRecord> = requests
             .iter()
             .map(|r| FleetRecord {
-                kind: r.kind,
                 class: r.class,
                 arrival_ns: r.at_ns,
                 outcome: FleetOutcome::Shed {
@@ -920,13 +952,7 @@ mod reference {
                     }
                     for _ in 0..batch_len {
                         let item = p.queues[qi].pop_front().expect("batch_len items queued");
-                        records[item.record_idx].outcome = FleetOutcome::Completed {
-                            pool: i,
-                            device,
-                            dispatched_ns: now,
-                            completed_ns,
-                            batch: batch_len as u32,
-                        };
+                        records[item.record_idx].outcome = FleetOutcome::Completed { completed_ns };
                         if let Some(m) = metrics.as_deref_mut() {
                             let rec = &records[item.record_idx];
                             let latency = completed_ns - rec.arrival_ns;
@@ -1007,7 +1033,7 @@ mod reference {
             })
             .collect();
         Ok(FleetReport {
-            records,
+            records: project(&records, config.classes.len()),
             pools,
             makespan_ns: makespan,
         })
@@ -1021,6 +1047,7 @@ mod differential {
     use crate::config::{AutoscaleConfig, ClassSpec, PoolSpec, RoutePolicy};
     use crate::cost::TableFleetCost;
     use crate::trace::FleetRequest;
+    use tango_nets::NetworkKind;
     use tango_tensor::SplitMix64;
 
     const KINDS: [NetworkKind; 3] = [NetworkKind::Gru, NetworkKind::CifarNet, NetworkKind::AlexNet];
@@ -1173,6 +1200,28 @@ mod differential {
         assert!(completed > 100_000 && grows > 1_000 && shrinks > 1_000, "{completed} {grows} {shrinks}");
         assert!(from_zero > 10, "pools revived from zero that served: {from_zero}");
     }
+
+    /// The report keeps one `u64` slot per request at most, however
+    /// many of them shed, plus a few words per class.
+    #[test]
+    fn a_report_holds_at_most_eight_bytes_per_request() {
+        for seed in 0..100u64 {
+            let Case { config, costs, trace } = case(seed);
+            let costs: Vec<&dyn FleetCost> = costs.iter().map(|c| c as &dyn FleetCost).collect();
+            let report = run_fleet(&trace, &config, &costs).unwrap();
+            let outcomes = &report.records;
+            assert_eq!(outcomes.len(), trace.len());
+            let columns: usize = outcomes.latencies.iter().map(|c| c.capacity()).sum();
+            assert!(
+                columns * std::mem::size_of::<u64>() <= 8 * trace.len(),
+                "seed {seed}: {columns} slots for {} requests",
+                trace.len()
+            );
+            let classes = config.classes.len();
+            assert!(outcomes.latencies.capacity() <= classes && outcomes.sheds.capacity() <= classes);
+            assert!(report.class_latency(classes).is_none(), "seed {seed}: a class past the config's");
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1181,6 +1230,7 @@ mod tests {
     use crate::config::{AutoscaleConfig, ClassSpec, FleetConfig, PoolSpec, RoutePolicy};
     use crate::cost::TableFleetCost;
     use crate::trace::FleetRequest;
+    use tango_nets::NetworkKind;
 
     const GRU: NetworkKind = NetworkKind::Gru;
 
@@ -1216,9 +1266,8 @@ mod tests {
         let cost = TableFleetCost::new(1.0).with_kind(GRU, 500, 100);
         let report = run_fleet(&burst(1, 10), &cfg, &[&cost]).unwrap();
         assert_eq!(report.completed(), 1);
-        let r = report.records[0];
         // Waits max_delay_ns (1000), then runs 600 cycles at 1 GHz.
-        assert_eq!(r.latency_ns(), Some(1000 + 600));
+        assert_eq!(report.records.latencies(0), [1000 + 600]);
         assert_eq!(report.makespan_ns, 10 + 1600);
         assert_eq!(report.pools[0].batches, 1);
         assert!(report.energy_per_request_j() > 0.0);
@@ -1348,14 +1397,10 @@ mod tests {
         // Every interactive request lands in the SLO ledger exactly
         // once: sheds and SLO-missing completions as bad, the rest good.
         let slo = &metrics.slos[0];
-        let interactive = plain.records.iter().filter(|r| r.class == 0).count();
-        assert_eq!((slo.good + slo.bad) as usize, interactive);
-        let missed = plain
-            .records
-            .iter()
-            .filter(|r| r.class == 0)
-            .filter(|r| !matches!(r.latency_ns(), Some(l) if l <= 200_000))
-            .count();
+        let done = plain.records.latencies(0);
+        let shed: usize = ShedReason::ALL.iter().map(|&r| plain.records.shed(0, r)).sum();
+        assert_eq!((slo.good + slo.bad) as usize, done.len() + shed);
+        let missed = shed + done.iter().filter(|&&l| l > 200_000).count();
         assert_eq!(slo.bad as usize, missed);
         tango_obs::metrics::validate_exposition(&metrics.prometheus_text()).unwrap();
     }
@@ -1387,12 +1432,11 @@ mod tests {
         let report = run_fleet(&trace, &cfg, &[&cost]).unwrap();
         let slo_sheds = report.shed_by(ShedReason::SloInfeasible);
         assert!(slo_sheds > 0, "deep queue must become SLO-infeasible for the tight class");
-        // Best-effort requests never SLO-shed.
-        for r in &report.records {
-            if r.class == 1 {
-                assert!(r.latency_ns().is_some(), "best-effort must queue, not shed: {r:?}");
-            }
+        // Best-effort requests never shed.
+        for reason in ShedReason::ALL {
+            assert_eq!(report.records.shed(1, reason), 0, "best-effort must queue, not shed");
         }
+        assert_eq!(report.records.latencies(1).len(), 20);
         // The tight class that did complete met admission's estimate
         // conservatively — no completed interactive request waited
         // past the bound the estimator allowed.

@@ -54,7 +54,7 @@ pub mod trace;
 pub use autoscale::{Autoscaler, ScaleAction, ScaleView};
 pub use config::{AutoscaleConfig, ClassSpec, FleetConfig, PoolSpec, RoutePolicy};
 pub use cost::{FleetCost, TableFleetCost};
-pub use engine::{run_fleet, run_fleet_metered, FleetOutcome, FleetRecord, FleetReport, PoolStats};
+pub use engine::{run_fleet, run_fleet_metered, ClassOutcomes, FleetReport, PoolStats};
 pub use metrics::{FleetMetrics, FleetMetricsConfig, FleetMetricsReport, SLO_TRACK};
 pub use report::{render_comparison, render_policy};
 pub use router::{Placement, PoolView, Router, ShedReason};

@@ -4,8 +4,8 @@
 //! equal pools.
 
 use tango_fleet::{
-    run_fleet, AutoscaleConfig, ClassSpec, FleetConfig, FleetOutcome, FleetRequest, FleetTrace, PoolSpec,
-    RoutePolicy, ShedReason, TableFleetCost,
+    run_fleet, AutoscaleConfig, ClassSpec, FleetConfig, FleetRequest, FleetTrace, PoolSpec, RoutePolicy, ShedReason,
+    TableFleetCost,
 };
 use tango_nets::NetworkKind;
 
@@ -45,13 +45,8 @@ fn saturated_fleet_sheds_exactly_the_overflow() {
         assert_eq!(report.shed_by(ShedReason::QueueFull), 42, "every shed is queue_full");
         assert_eq!(report.shed_by(ShedReason::SloInfeasible), 0);
         assert_eq!(report.shed_by(ShedReason::NoCapacity), 0);
-        // Shed records carry the reason explicitly — no silent drops.
-        let explicit = report
-            .records
-            .iter()
-            .filter(|r| matches!(r.outcome, FleetOutcome::Shed { reason: ShedReason::QueueFull }))
-            .count();
-        assert_eq!(explicit, 42);
+        // Sheds are counted with their class and reason — no silent drops.
+        assert_eq!(report.records.shed(0, ShedReason::QueueFull), 42);
     }
 }
 
@@ -76,7 +71,8 @@ fn pool_scaled_to_zero_mid_flight_drains_before_teardown() {
         }),
     };
     let cost = TableFleetCost::new(1.0).with_kind(GRU, 50_000, 0); // 50 µs
-    let mut requests: Vec<FleetRequest> = (0..6).map(|_| request(0)).collect();
+    let burst: Vec<FleetRequest> = (0..6).map(|_| request(0)).collect();
+    let mut requests = burst.clone();
     // Stragglers long after the elastic pool has scaled away.
     requests.push(request(2_000_000));
     requests.push(request(2_000_000));
@@ -89,13 +85,9 @@ fn pool_scaled_to_zero_mid_flight_drains_before_teardown() {
     assert_eq!(elastic.final_devices, 0, "the idle elastic pool must reach its floor of zero");
     assert!(elastic.shrinks > 0);
     // The stragglers arrived after teardown: only the fixed pool could
-    // take them.
-    for r in report.records.iter().skip(6) {
-        match r.outcome {
-            FleetOutcome::Completed { pool, .. } => assert_eq!(pool, 0, "dead pool must receive nothing"),
-            FleetOutcome::Shed { .. } => panic!("stragglers had a live pool available"),
-        }
-    }
+    // take them, so the elastic pool ran exactly what it ran without them.
+    let burst_only = run_fleet(&FleetTrace::from_requests(&[GRU], 1, burst), &cfg, &[&cost, &cost]).unwrap();
+    assert_eq!(elastic.completed, burst_only.pools[1].completed, "dead pool must receive nothing");
 }
 
 #[test]
@@ -118,14 +110,9 @@ fn equal_pools_tie_break_to_the_lowest_index_deterministically() {
         let trace = FleetTrace::from_requests(&[GRU], 1, (0..5).map(|i| request(i * 1_000_000)).collect());
         let run = || run_fleet(&trace, &cfg, &[&cost, &cost]).unwrap();
         let report = run();
-        for r in &report.records {
-            match r.outcome {
-                FleetOutcome::Completed { pool, .. } => {
-                    assert_eq!(pool, 0, "{}: ties must break to pool 0", policy.name());
-                }
-                FleetOutcome::Shed { .. } => panic!("nothing should shed at this load"),
-            }
-        }
+        assert_eq!(report.shed(), 0, "nothing should shed at this load");
+        assert_eq!(report.pools[0].completed, 5, "{}: ties must break to pool 0", policy.name());
+        assert_eq!(report.pools[1].completed, 0, "{}: ties must break to pool 0", policy.name());
         assert_eq!(run(), report, "replays must be byte-identical");
     }
 }
