@@ -133,7 +133,11 @@ mod tests {
     fn grows_on_backlog_within_bounds() {
         let mut a = scaler();
         let acts = a.evaluate(1000, &[pool(9, 0, 2, 1, 4), pool(9, 0, 4, 1, 4)], 0);
-        assert_eq!(acts, vec![ScaleAction::Grow(1), ScaleAction::Hold], "ceiling caps growth");
+        assert_eq!(
+            acts,
+            vec![ScaleAction::Grow(1), ScaleAction::Hold],
+            "ceiling caps growth"
+        );
         assert_eq!(a.next_eval_ns(), 2000);
     }
 

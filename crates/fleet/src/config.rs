@@ -174,7 +174,10 @@ impl FleetConfig {
         }
         for pool in &self.pools {
             if pool.max_devices == 0 {
-                return Err(ServeError::Config(format!("pool {}: max_devices must be positive", pool.name)));
+                return Err(ServeError::Config(format!(
+                    "pool {}: max_devices must be positive",
+                    pool.name
+                )));
             }
             if pool.min_devices > pool.max_devices {
                 return Err(ServeError::Config(format!(

@@ -223,14 +223,17 @@ impl PoolState {
     /// due, the highest priority (lowest class), then the oldest head,
     /// then kind order.
     fn pick(&self, now: u64, batching: &Batching) -> Option<(usize, usize)> {
-        self.queues.chunks(batching.kinds).enumerate().find_map(|(class, by_kind)| {
-            let due = by_kind
-                .iter()
-                .enumerate()
-                .filter(|(_, q)| batching.due_at(q).is_some_and(|due_at| due_at <= now));
-            let (_, kind) = due.map(|(kind, q)| (q.front().expect("due").at_ns, kind)).min()?;
-            Some((class, kind))
-        })
+        self.queues
+            .chunks(batching.kinds)
+            .enumerate()
+            .find_map(|(class, by_kind)| {
+                let due = by_kind
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, q)| batching.due_at(q).is_some_and(|due_at| due_at <= now));
+                let (_, kind) = due.map(|(kind, q)| (q.front().expect("due").at_ns, kind)).min()?;
+                Some((class, kind))
+            })
     }
 
     fn refresh_ready(&mut self, batching: &Batching) {
@@ -991,8 +994,8 @@ mod reference {
             if next_arrival < requests.len() {
                 next = next.min(requests[next_arrival].at_ns);
             }
-            let outstanding = next_arrival < requests.len()
-                || pools.iter().any(|p| p.pending > 0 || p.devices.busy() > 0);
+            let outstanding =
+                next_arrival < requests.len() || pools.iter().any(|p| p.pending > 0 || p.devices.busy() > 0);
             for p in &pools {
                 if let Some(done_at) = p.devices.next_completion() {
                     next = next.min(done_at);
@@ -1171,13 +1174,21 @@ mod differential {
         let (mut completed, mut grows, mut shrinks, mut from_zero) = (0usize, 0u64, 0u64, 0u64);
         for seed in 0..400u64 {
             let Case { config, costs, trace } = case(seed);
-            config.validate().unwrap_or_else(|e| panic!("seed {seed}: generator made an invalid fleet: {e}"));
+            config
+                .validate()
+                .unwrap_or_else(|e| panic!("seed {seed}: generator made an invalid fleet: {e}"));
             let costs: Vec<&dyn FleetCost> = costs.iter().map(|c| c as &dyn FleetCost).collect();
             let want = reference::run_fleet_inner(&trace, &config, &costs, None).unwrap();
             let got = run_fleet(&trace, &config, &costs).unwrap();
-            assert!(got == want, "seed {seed}: run_fleet left the reference loop: {config:?}");
+            assert!(
+                got == want,
+                "seed {seed}: run_fleet left the reference loop: {config:?}"
+            );
             let (metered, metrics) = run_fleet_metered(&trace, &config, &costs, &mcfg).unwrap();
-            assert!(metered == got, "seed {seed}: run_fleet_metered's report is not run_fleet's: {config:?}");
+            assert!(
+                metered == got,
+                "seed {seed}: run_fleet_metered's report is not run_fleet's: {config:?}"
+            );
             // The hooks fire at the reference's points with its arguments.
             let mut hooks = FleetMetrics::new(&config, &mcfg);
             reference::run_fleet_inner(&trace, &config, &costs, Some(&mut hooks)).unwrap();
@@ -1197,7 +1208,10 @@ mod differential {
         }
         // The generator reaches what it claims to.
         assert!(sheds.iter().all(|&n| n > 1_000), "sheds by reason {sheds:?}");
-        assert!(completed > 100_000 && grows > 1_000 && shrinks > 1_000, "{completed} {grows} {shrinks}");
+        assert!(
+            completed > 100_000 && grows > 1_000 && shrinks > 1_000,
+            "{completed} {grows} {shrinks}"
+        );
         assert!(from_zero > 10, "pools revived from zero that served: {from_zero}");
     }
 
@@ -1219,7 +1233,10 @@ mod differential {
             );
             let classes = config.classes.len();
             assert!(outcomes.latencies.capacity() <= classes && outcomes.sheds.capacity() <= classes);
-            assert!(report.class_latency(classes).is_none(), "seed {seed}: a class past the config's");
+            assert!(
+                report.class_latency(classes).is_none(),
+                "seed {seed}: a class past the config's"
+            );
         }
     }
 }
@@ -1282,7 +1299,16 @@ mod tests {
         let fast = TableFleetCost::new(2.0).with_kind(GRU, 2000, 500);
         let slow = TableFleetCost::new(0.2).with_kind(GRU, 2000, 500);
         let pools = || vec![PoolSpec::fixed("fast", 2), PoolSpec::fixed("slow", 2)];
-        let trace = FleetTrace::bursty(&[GRU], &[ClassSpec::best_effort("be")], 400, 2000, 200_000, 40_000, 4, 17);
+        let trace = FleetTrace::bursty(
+            &[GRU],
+            &[ClassSpec::best_effort("be")],
+            400,
+            2000,
+            200_000,
+            40_000,
+            4,
+            17,
+        );
         let p99 = |policy| {
             let report = run_fleet(&trace, &config(pools(), policy), &[&fast, &slow]).unwrap();
             assert_eq!(report.shed(), 0);
@@ -1352,7 +1378,11 @@ mod tests {
         assert_eq!(report.completed(), 121);
         let p = &report.pools[0];
         assert!(p.grows > 0, "backlog must trigger growth");
-        assert!(p.peak_devices > 1, "peak {} must exceed the starting size", p.peak_devices);
+        assert!(
+            p.peak_devices > 1,
+            "peak {} must exceed the starting size",
+            p.peak_devices
+        );
         assert!(p.shrinks > 0, "the drained pool must shrink back");
         assert_eq!(p.final_devices, 1, "idle pool returns to its floor");
     }
@@ -1375,7 +1405,16 @@ mod tests {
             }),
         };
         let classes = cfg.classes.clone();
-        let trace = FleetTrace::bursty(&[GRU, NetworkKind::CifarNet], &classes, 500, 1500, 300_000, 12_000, 6, 29);
+        let trace = FleetTrace::bursty(
+            &[GRU, NetworkKind::CifarNet],
+            &classes,
+            500,
+            1500,
+            300_000,
+            12_000,
+            6,
+            29,
+        );
         let a_cost = TableFleetCost::new(1.0).with_kind(GRU, 20_000, 10);
         let b_cost = TableFleetCost::new(0.5);
         let costs: [&dyn FleetCost; 2] = [&a_cost, &b_cost];
@@ -1431,7 +1470,10 @@ mod tests {
         );
         let report = run_fleet(&trace, &cfg, &[&cost]).unwrap();
         let slo_sheds = report.shed_by(ShedReason::SloInfeasible);
-        assert!(slo_sheds > 0, "deep queue must become SLO-infeasible for the tight class");
+        assert!(
+            slo_sheds > 0,
+            "deep queue must become SLO-infeasible for the tight class"
+        );
         // Best-effort requests never shed.
         for reason in ShedReason::ALL {
             assert_eq!(report.records.shed(1, reason), 0, "best-effort must queue, not shed");

@@ -90,12 +90,7 @@ impl FleetMetrics {
             .map(|c| {
                 c.slo_ns.map(|_| {
                     SloMonitor::new(
-                        SloPolicy::burn_defaults(
-                            &c.name,
-                            mcfg.slo_target_ppm,
-                            mcfg.short_windows,
-                            mcfg.long_windows,
-                        ),
+                        SloPolicy::burn_defaults(&c.name, mcfg.slo_target_ppm, mcfg.short_windows, mcfg.long_windows),
                         mcfg.window_ns,
                     )
                 })
@@ -114,7 +109,10 @@ impl FleetMetrics {
             .iter()
             .map(|class| {
                 ShedReason::ALL.map(|reason| {
-                    let name = format!("tango_fleet_shed_total{{class=\"{class}\",reason=\"{}\"}}", reason.name());
+                    let name = format!(
+                        "tango_fleet_shed_total{{class=\"{class}\",reason=\"{}\"}}",
+                        reason.name()
+                    );
                     registry.series(&name, MetricKind::Counter)
                 })
             })
@@ -310,7 +308,10 @@ mod tests {
     fn config() -> FleetConfig {
         FleetConfig {
             pools: vec![PoolSpec::fixed("gp102", 2), PoolSpec::fixed("tx1", 1)],
-            classes: vec![ClassSpec::with_slo("interactive", 1_000_000), ClassSpec::best_effort("batch")],
+            classes: vec![
+                ClassSpec::with_slo("interactive", 1_000_000),
+                ClassSpec::best_effort("batch"),
+            ],
             queue_bound: 64,
             max_batch: 4,
             max_delay_ns: 1000,
@@ -331,7 +332,10 @@ mod tests {
         m.on_scale(800, 0, 3);
         let report = m.finish();
         let r = &report.registry;
-        assert_eq!(r.counter_total("tango_fleet_requests_total{class=\"interactive\"}"), Some(1));
+        assert_eq!(
+            r.counter_total("tango_fleet_requests_total{class=\"interactive\"}"),
+            Some(1)
+        );
         assert_eq!(r.counter_total("tango_fleet_requests_total{class=\"batch\"}"), Some(1));
         assert_eq!(
             r.counter_total("tango_fleet_shed_total{class=\"interactive\",reason=\"slo_infeasible\"}"),
@@ -340,9 +344,14 @@ mod tests {
         assert_eq!(r.gauge_last("tango_fleet_queue_pending{pool=\"tx1\"}"), Some(3));
         assert_eq!(r.counter_total("tango_fleet_busy_ns_total{pool=\"gp102\"}"), Some(700));
         // 0.001234 J = 1234 µJ, exactly.
-        assert_eq!(r.counter_total("tango_fleet_energy_uj_total{pool=\"gp102\"}"), Some(1234));
+        assert_eq!(
+            r.counter_total("tango_fleet_energy_uj_total{pool=\"gp102\"}"),
+            Some(1234)
+        );
         assert_eq!(r.gauge_last("tango_fleet_devices{pool=\"gp102\"}"), Some(3));
-        let h = r.histogram_total("tango_fleet_latency_ns{class=\"interactive\"}").unwrap();
+        let h = r
+            .histogram_total("tango_fleet_latency_ns{class=\"interactive\"}")
+            .unwrap();
         assert_eq!(h.count(), 1);
         // One SLO class only; the shed is bad, the completion good.
         assert_eq!(report.slos.len(), 1);

@@ -142,22 +142,22 @@ mod tests {
             policy: RoutePolicy::CostAware,
             autoscale: None,
         };
-        let trace = FleetTrace::diurnal(
-            &[NetworkKind::Gru],
-            &config.classes,
-            200,
-            2000,
-            500_000,
-            0.3,
-            5,
-        );
+        let trace = FleetTrace::diurnal(&[NetworkKind::Gru], &config.classes, 200, 2000, 500_000, 0.3, 5);
         let fast = TableFleetCost::new(2.0);
         let slow = TableFleetCost::new(0.5);
         let report = run_fleet(&trace, &config, &[&fast, &slow]).unwrap();
         let a = render_comparison(&trace, &[(&config, &report)]);
         let b = render_comparison(&trace, &[(&config, &report)]);
         assert_eq!(a, b);
-        for needle in ["policy cost_aware", "class int", "class be", "pool fast", "pool slow", "shed_rate", "energy_per_request_j"] {
+        for needle in [
+            "policy cost_aware",
+            "class int",
+            "class be",
+            "pool fast",
+            "pool slow",
+            "shed_rate",
+            "energy_per_request_j",
+        ] {
             assert!(a.contains(needle), "missing {needle:?} in:\n{a}");
         }
     }

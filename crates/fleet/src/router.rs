@@ -201,7 +201,12 @@ mod tests {
         let picks: Vec<_> = (0..4).map(|_| r.place(&views, 8, None)).collect();
         assert_eq!(
             picks,
-            vec![Placement::Pool(0), Placement::Pool(2), Placement::Pool(0), Placement::Pool(2)],
+            vec![
+                Placement::Pool(0),
+                Placement::Pool(2),
+                Placement::Pool(0),
+                Placement::Pool(2)
+            ],
             "dead pool 1 must be skipped, cycle must continue"
         );
     }
@@ -220,8 +225,15 @@ mod tests {
         let mut r = Router::new(RoutePolicy::CostAware);
         // Best pool predicts (4+1)*200 = 1000 ns.
         let views = [view(4, 0, 1, 0, 200), view(9, 0, 1, 0, 200)];
-        assert_eq!(r.place(&views, 64, Some(999)), Placement::Shed(ShedReason::SloInfeasible));
+        assert_eq!(
+            r.place(&views, 64, Some(999)),
+            Placement::Shed(ShedReason::SloInfeasible)
+        );
         assert_eq!(r.place(&views, 64, Some(1000)), Placement::Pool(0));
-        assert_eq!(r.place(&views, 64, None), Placement::Pool(0), "best-effort never SLO-sheds");
+        assert_eq!(
+            r.place(&views, 64, None),
+            Placement::Pool(0),
+            "best-effort never SLO-sheds"
+        );
     }
 }

@@ -81,7 +81,10 @@ impl FleetTrace {
         assert!(!kinds.is_empty(), "trace needs at least one network kind");
         assert!(!classes.is_empty(), "trace needs at least one class");
         assert!(peak_gap_ns > 0 && period_ns > 0, "gaps and period must be positive");
-        assert!((0.0..=1.0).contains(&trough_fraction), "trough fraction must be in [0, 1]");
+        assert!(
+            (0.0..=1.0).contains(&trough_fraction),
+            "trough fraction must be in [0, 1]"
+        );
         let mut rng = SplitMix64::new(seed);
         let times = thinned_arrivals(&mut rng, count, peak_gap_ns, |t, keep| {
             // rate(t)/peak = trough + (1-trough) * (1 + sin(2*pi*t/T)) / 2
@@ -113,9 +116,15 @@ impl FleetTrace {
     ) -> Self {
         assert!(!kinds.is_empty(), "trace needs at least one network kind");
         assert!(!classes.is_empty(), "trace needs at least one class");
-        assert!(base_gap_ns > 0 && burst_every_ns > 0 && burst_len_ns > 0, "gaps must be positive");
+        assert!(
+            base_gap_ns > 0 && burst_every_ns > 0 && burst_len_ns > 0,
+            "gaps must be positive"
+        );
         assert!(burst_factor >= 1, "burst factor must be at least 1");
-        assert!(burst_len_ns < burst_every_ns, "bursts must be shorter than their period");
+        assert!(
+            burst_len_ns < burst_every_ns,
+            "bursts must be shorter than their period"
+        );
         let mut rng = SplitMix64::new(seed);
         // Peak rate is the burst rate; baseline keeps 1/burst_factor.
         let peak_gap = (base_gap_ns / burst_factor).max(1);
@@ -201,7 +210,10 @@ mod tests {
     const KINDS: [NetworkKind; 2] = [NetworkKind::Gru, NetworkKind::CifarNet];
 
     fn classes() -> Vec<ClassSpec> {
-        vec![ClassSpec::with_slo("interactive", 1_000_000), ClassSpec::best_effort("batch")]
+        vec![
+            ClassSpec::with_slo("interactive", 1_000_000),
+            ClassSpec::best_effort("batch"),
+        ]
     }
 
     #[test]

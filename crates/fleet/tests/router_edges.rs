@@ -82,12 +82,18 @@ fn pool_scaled_to_zero_mid_flight_drains_before_teardown() {
     assert_eq!(report.completed(), 8, "every admitted request must retire");
     let elastic = &report.pools[1];
     assert!(elastic.completed > 0, "the elastic pool ran work before scaling away");
-    assert_eq!(elastic.final_devices, 0, "the idle elastic pool must reach its floor of zero");
+    assert_eq!(
+        elastic.final_devices, 0,
+        "the idle elastic pool must reach its floor of zero"
+    );
     assert!(elastic.shrinks > 0);
     // The stragglers arrived after teardown: only the fixed pool could
     // take them, so the elastic pool ran exactly what it ran without them.
     let burst_only = run_fleet(&FleetTrace::from_requests(&[GRU], 1, burst), &cfg, &[&cost, &cost]).unwrap();
-    assert_eq!(elastic.completed, burst_only.pools[1].completed, "dead pool must receive nothing");
+    assert_eq!(
+        elastic.completed, burst_only.pools[1].completed,
+        "dead pool must receive nothing"
+    );
 }
 
 #[test]
@@ -111,8 +117,18 @@ fn equal_pools_tie_break_to_the_lowest_index_deterministically() {
         let run = || run_fleet(&trace, &cfg, &[&cost, &cost]).unwrap();
         let report = run();
         assert_eq!(report.shed(), 0, "nothing should shed at this load");
-        assert_eq!(report.pools[0].completed, 5, "{}: ties must break to pool 0", policy.name());
-        assert_eq!(report.pools[1].completed, 0, "{}: ties must break to pool 0", policy.name());
+        assert_eq!(
+            report.pools[0].completed,
+            5,
+            "{}: ties must break to pool 0",
+            policy.name()
+        );
+        assert_eq!(
+            report.pools[1].completed,
+            0,
+            "{}: ties must break to pool 0",
+            policy.name()
+        );
         assert_eq!(run(), report, "replays must be byte-identical");
     }
 }

@@ -223,7 +223,11 @@ impl SimCostModel {
                     .store
                     .fetch_backend(&self.backend_spec(backend, kind, batch))
                     .map_err(TangoError::from)?;
-                Ok(BatchCost::from_cycles(run.total_cycles(), run.clock_ghz, run.total_energy_j()))
+                Ok(BatchCost::from_cycles(
+                    run.total_cycles(),
+                    run.clock_ghz,
+                    run.total_energy_j(),
+                ))
             }
         }
     }
@@ -265,13 +269,7 @@ mod tests {
         let root = std::env::temp_dir().join(format!("tango-serve-cost-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let store = Arc::new(RunStore::at(&root));
-        let m = SimCostModel::new(
-            store.clone(),
-            GpuConfig::gp102(),
-            Preset::Tiny,
-            7,
-            SimOptions::new(),
-        );
+        let m = SimCostModel::new(store.clone(), GpuConfig::gp102(), Preset::Tiny, 7, SimOptions::new());
         let c1 = m.batch_cycles(NetworkKind::Gru, 2).unwrap();
         let misses = store.misses();
         let c2 = m.batch_cycles(NetworkKind::Gru, 2).unwrap();
@@ -318,7 +316,12 @@ mod tests {
             assert_eq!(a.cycles, cold.batch_cycles(NetworkKind::Gru, batch).unwrap());
             // gp102 clocks above 1 GHz, so wall time compresses below
             // the cycle count.
-            assert!(a.ns <= a.cycles, "1.48 GHz device: ns {} must not exceed cycles {}", a.ns, a.cycles);
+            assert!(
+                a.ns <= a.cycles,
+                "1.48 GHz device: ns {} must not exceed cycles {}",
+                a.ns,
+                a.cycles
+            );
         }
         assert!(cold.store().misses() > 0, "cold queries must have simulated inline");
         for root in [cold_root, one_root, four_root] {
@@ -350,7 +353,12 @@ mod tests {
         assert!(a.energy_j > 0.0, "a simulated batch consumes energy");
         // gk210 clocks at 0.745 GHz: each cycle is > 1 ns, so the
         // wall-normalized duration must exceed the cycle count.
-        assert!(a.ns > a.cycles, "sub-GHz device: ns {} must exceed cycles {}", a.ns, a.cycles);
+        assert!(
+            a.ns > a.cycles,
+            "sub-GHz device: ns {} must exceed cycles {}",
+            a.ns,
+            a.cycles
+        );
     }
 
     #[test]
@@ -371,15 +379,9 @@ mod tests {
         let root = std::env::temp_dir().join(format!("tango-serve-cost-acc-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let store = Arc::new(RunStore::at(&root));
-        let m = SimCostModel::new(
-            store.clone(),
-            GpuConfig::gp102(),
-            Preset::Tiny,
-            7,
-            SimOptions::new(),
-        )
-        .with_backend(BackendSpec::Systolic(SystolicConfig::edge()))
-        .with_precision(Precision::Int8);
+        let m = SimCostModel::new(store.clone(), GpuConfig::gp102(), Preset::Tiny, 7, SimOptions::new())
+            .with_backend(BackendSpec::Systolic(SystolicConfig::edge()))
+            .with_precision(Precision::Int8);
 
         m.precompute(&[NetworkKind::Gru], 4, 2).unwrap();
         let misses = store.misses();

@@ -304,7 +304,10 @@ pub fn run_trace(trace: &ArrivalTrace, config: &ServeConfig, cost: &dyn CostMode
         now = next;
     }
 
-    debug_assert!(queues.iter().all(VecDeque::is_empty), "all admitted requests must retire");
+    debug_assert!(
+        queues.iter().all(VecDeque::is_empty),
+        "all admitted requests must retire"
+    );
     Ok(ServeReport {
         records,
         makespan,
@@ -454,8 +457,9 @@ mod tests {
             (0x77d3_5310_43a3_91ff, 754),
         ];
         let fnv = |text: &str| {
-            text.bytes()
-                .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+            text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
         };
         let kinds = [GRU, NetworkKind::CifarNet];
         let cost = TableCostModel::new()

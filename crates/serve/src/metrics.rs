@@ -282,8 +282,16 @@ mod tests {
                     batch,
                     device,
                 } => {
-                    registry.observe(&series("tango_serve_latency_cycles", kind), completed, completed - r.arrival);
-                    registry.observe(&series("tango_serve_queue_wait_cycles", kind), dispatched, dispatched - r.arrival);
+                    registry.observe(
+                        &series("tango_serve_latency_cycles", kind),
+                        completed,
+                        completed - r.arrival,
+                    );
+                    registry.observe(
+                        &series("tango_serve_queue_wait_cycles", kind),
+                        dispatched,
+                        dispatched - r.arrival,
+                    );
                     *depth_events.entry((r.arrival, 0, kind)).or_insert(0) += 1;
                     *depth_events.entry((dispatched, 1, kind)).or_insert(0) -= 1;
                     batches.insert((device, dispatched, completed), (kind, batch));
@@ -305,7 +313,9 @@ mod tests {
     #[test]
     fn one_pass_metrics_render_equal_to_the_ordered_map_reference() {
         let (gru, cifar) = (NetworkKind::Gru, NetworkKind::CifarNet);
-        let cost = TableCostModel::new().with_kind(gru, 8_000, 400).with_kind(cifar, 20_000, 1_000);
+        let cost = TableCostModel::new()
+            .with_kind(gru, 8_000, 400)
+            .with_kind(cifar, 20_000, 1_000);
         let config = |devices, queue_bound, max_batch, max_delay_cycles| ServeConfig {
             devices,
             queue_bound,
@@ -325,18 +335,44 @@ mod tests {
             })
             .collect();
         let cases = [
-            ("rho 0.7", open_loop(&[gru, cifar], 10_500, 0xfeed), config(2, 256, 8, 3_675)),
-            ("overload", open_loop(&[gru, cifar], 1_000, 0xfeee), config(2, 256, 8, 3_675)),
-            ("volleys", ArrivalTrace::from_arrivals(&[gru, cifar], volleys), config(3, 4, 2, 0)),
-            ("single kind", open_loop(&[cifar], 6_000, 0xfeef), config(2, 32, 4, 10_000)),
+            (
+                "rho 0.7",
+                open_loop(&[gru, cifar], 10_500, 0xfeed),
+                config(2, 256, 8, 3_675),
+            ),
+            (
+                "overload",
+                open_loop(&[gru, cifar], 1_000, 0xfeee),
+                config(2, 256, 8, 3_675),
+            ),
+            (
+                "volleys",
+                ArrivalTrace::from_arrivals(&[gru, cifar], volleys),
+                config(3, 4, 2, 0),
+            ),
+            (
+                "single kind",
+                open_loop(&[cifar], 6_000, 0xfeef),
+                config(2, 32, 4, 10_000),
+            ),
         ];
         for (name, trace, cfg) in cases {
             let report = run_trace(&trace, &cfg, &cost).unwrap();
-            assert!(name != "overload" && name != "volleys" || report.shed() > 0, "{name} must shed");
+            assert!(
+                name != "overload" && name != "volleys" || report.shed() > 0,
+                "{name} must shed"
+            );
             for window in [1, 50_000, u64::MAX] {
-                let (got, want) = (serve_metrics(&report, window), serve_metrics_by_ordered_maps(&report, window));
+                let (got, want) = (
+                    serve_metrics(&report, window),
+                    serve_metrics_by_ordered_maps(&report, window),
+                );
                 assert_eq!(got.render_text(name), want.render_text(name), "{name}, window {window}");
-                assert_eq!(got.snapshot_jsonl(name), want.snapshot_jsonl(name), "{name}, window {window}");
+                assert_eq!(
+                    got.snapshot_jsonl(name),
+                    want.snapshot_jsonl(name),
+                    "{name}, window {window}"
+                );
                 assert_eq!(got.prometheus_text(), want.prometheus_text(), "{name}, window {window}");
             }
         }
@@ -350,7 +386,10 @@ mod tests {
         for r in &mut all_shed.records {
             r.outcome = Outcome::Shed { queue_len: 8 };
         }
-        let (got, want) = (serve_metrics(&all_shed, 10_000), serve_metrics_by_ordered_maps(&all_shed, 10_000));
+        let (got, want) = (
+            serve_metrics(&all_shed, 10_000),
+            serve_metrics_by_ordered_maps(&all_shed, 10_000),
+        );
         assert_eq!(got.render_text("all shed"), want.render_text("all shed"));
         assert_eq!(got.names(), want.names());
         assert!(got.names().iter().all(|n| n.contains("_total")), "{:?}", got.names());

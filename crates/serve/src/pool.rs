@@ -293,7 +293,12 @@ mod tests {
                     scheduled += 1;
                     continue;
                 }
-                let candidate = self.busy.iter().map(|&(_, id)| id).filter(|id| !self.retiring.contains(id)).max();
+                let candidate = self
+                    .busy
+                    .iter()
+                    .map(|&(_, id)| id)
+                    .filter(|id| !self.retiring.contains(id))
+                    .max();
                 match candidate {
                     Some(id) => {
                         self.retiring.insert(id);
@@ -320,11 +325,19 @@ mod tests {
                 match rng.below(8) {
                     0..=2 => {
                         let done_at = now + rng.below(40);
-                        assert_eq!(set.dispatch(now, done_at), model.dispatch(now, done_at), "dispatch, {at}");
+                        assert_eq!(
+                            set.dispatch(now, done_at),
+                            model.dispatch(now, done_at),
+                            "dispatch, {at}"
+                        );
                     }
                     3..=5 => {
                         now += rng.below(25);
-                        assert_eq!(set.complete_until(now), model.complete_until(now), "complete_until, {at}");
+                        assert_eq!(
+                            set.complete_until(now),
+                            model.complete_until(now),
+                            "complete_until, {at}"
+                        );
                     }
                     6 => {
                         let n = rng.below(3) as usize;
@@ -340,7 +353,11 @@ mod tests {
                 assert_eq!(set.busy(), model.busy.len(), "busy, {at}");
                 assert_eq!(set.target(), set.active() - model.retiring.len(), "target, {at}");
                 assert_eq!(set.peek_free(), model.free.first().copied(), "peek_free, {at}");
-                assert_eq!(set.next_completion(), model.busy.first().map(|b| b.0), "next_completion, {at}");
+                assert_eq!(
+                    set.next_completion(),
+                    model.busy.first().map(|b| b.0),
+                    "next_completion, {at}"
+                );
                 assert_eq!(set.busy_time(), model.busy_time, "busy_time, {at}");
             }
         }

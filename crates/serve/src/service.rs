@@ -178,10 +178,7 @@ impl Service {
             return Err(ServeError::Shed { kind, queue_len });
         }
         let (tx, rx) = mpsc::channel();
-        queue.push_back(Pending {
-            input_seed,
-            reply: tx,
-        });
+        queue.push_back(Pending { input_seed, reply: tx });
         tango_obs::hcounter("serve.service", "queue_depth", queue.len() as i64);
         drop(state);
         self.shared.work.notify_one();
@@ -274,8 +271,8 @@ fn worker_loop(shared: &Shared, config: &ServiceConfig) {
         let net = &networks[k];
         // Host-clock batch span: the worker's wall time executing one
         // coalesced dispatch (the virtual cost rides inside as vspans).
-        let _batch_span =
-            tango_obs::is_enabled().then(|| tango_obs::hspan("serve.batch", &format!("{}x{}", kind.name(), batch.len())));
+        let _batch_span = tango_obs::is_enabled()
+            .then(|| tango_obs::hspan("serve.batch", &format!("{}x{}", kind.name(), batch.len())));
         let input = synthetic_input(net.input_spec(), batch[0].input_seed);
         let inputs = vec![input; batch.len()];
         let outcome = net

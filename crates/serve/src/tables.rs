@@ -111,6 +111,10 @@ mod tests {
         let failed = table.get(0, 4, || Err(ServeError::Config("no".into())));
         assert!(failed.is_err());
         assert_eq!(table.get(0, 4, || Ok(7)).unwrap(), 7, "a failure is not remembered");
-        assert_eq!(table.get(1, 1, || Ok(9)).unwrap(), 9, "a smaller batch after a larger one");
+        assert_eq!(
+            table.get(1, 1, || Ok(9)).unwrap(),
+            9,
+            "a smaller batch after a larger one"
+        );
     }
 }

@@ -24,7 +24,9 @@ fn concurrent_identical_requests_coalesce_and_agree() {
     // Submit a burst of identical requests before the worker can drain
     // them; they must coalesce into batches and all receive the same
     // output.
-    let tickets: Vec<_> = (0..6).map(|_| service.submit(NetworkKind::Gru, 3).expect("admitted")).collect();
+    let tickets: Vec<_> = (0..6)
+        .map(|_| service.submit(NetworkKind::Gru, 3).expect("admitted"))
+        .collect();
     let replies: Vec<_> = tickets.into_iter().map(|t| t.wait().expect("completed")).collect();
     let first = &replies[0];
     assert!(first.cycles > 0);
@@ -135,16 +137,26 @@ fn workers_record_into_the_starters_recording() {
     tango_obs::enable(1 << 16);
     let service = Service::start(config(1, 64, 8)).expect("start");
     tango_obs::disable();
-    service.submit(NetworkKind::Gru, 1).expect("admitted").wait().expect("completed");
+    service
+        .submit(NetworkKind::Gru, 1)
+        .expect("admitted")
+        .wait()
+        .expect("completed");
     service.shutdown();
     let trace = tango_obs::drain();
     let batches: Vec<_> = trace.events.iter().filter(|e| e.cat == "serve.batch").collect();
     assert_eq!(batches.len(), 2, "one batch span: {:?}", trace.events);
-    assert!(batches.iter().all(|e| e.domain == tango_obs::Domain::Host && e.tid == 2));
+    assert!(batches
+        .iter()
+        .all(|e| e.domain == tango_obs::Domain::Host && e.tid == 2));
 
     // Started while this thread does not record: the workers record nothing.
     let service = Service::start(config(1, 64, 8)).expect("start");
-    service.submit(NetworkKind::Gru, 1).expect("admitted").wait().expect("completed");
+    service
+        .submit(NetworkKind::Gru, 1)
+        .expect("admitted")
+        .wait()
+        .expect("completed");
     service.shutdown();
     assert!(tango_obs::drain().is_empty());
 }
