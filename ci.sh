@@ -44,6 +44,11 @@ cargo test --release -q -p tango-nets --test weight_image weight_image_digests_m
 section "clippy: workspace must be warning-free"
 cargo clippy --workspace --all-targets -- -D warnings
 
+section "rustfmt: tango-serve and tango-fleet are formatted"
+# crates/rustfmt.toml's width matches the hand-wrapped code; the rest of the
+# tree is not formatted yet, so only these two crates gate.
+cargo fmt --check -p tango-serve -p tango-fleet
+
 section "repro_all: cold pass (tiny preset, scratch store)"
 SCRATCH="$(mktemp -d)"
 trap 'rm -rf "$SCRATCH"' EXIT
@@ -362,12 +367,23 @@ for f in BENCH_sim.json BENCH_serve.json BENCH_fleet.json; do
         grep -E '^(perfdiff|no gating rate)' "$SCRATCH/perf/${f}.diff"
     fi
 done
-# The memo table's footprint is a count that repeats exactly run to run,
-# unlike the rates above, so it gates: it may not exceed the committed one.
+# The memo table's footprint and the DES reports' and traces' bytes per
+# request are counts that repeat exactly run to run, unlike the rates
+# above, so they gate: none may exceed the committed one.
+# gate_counts <file> <key>...
+gate_counts() {
+    local f="$1"
+    shift
+    python3 -c 'import json,sys
+old,new=(json.load(open(p)) for p in sys.argv[1:3])
+for k in sys.argv[3:]: print(f"{k} {new[k]} (committed {old[k]})")
+sys.exit(any(new[k] > old[k] for k in sys.argv[3:]))' "results/$f" "$SCRATCH/perf/$f" "$@" ||
+        { echo "FAIL: a count in $f grew past results/$f's" >&2; exit 1; }
+}
 if command -v python3 >/dev/null 2>&1; then
-    python3 -c 'import json,sys; old,new=(json.load(open(f))["memo_table_bytes"] for f in sys.argv[1:]); print(f"memo_table_bytes {new} (committed {old})"); sys.exit(new > old)' \
-        results/BENCH_sim.json "$SCRATCH/perf/BENCH_sim.json" ||
-        { echo "FAIL: memo_table_bytes grew past results/BENCH_sim.json's" >&2; exit 1; }
+    gate_counts BENCH_sim.json memo_table_bytes
+    gate_counts BENCH_serve.json report_bytes_per_request trace_bytes_per_request
+    gate_counts BENCH_fleet.json report_bytes_per_request trace_bytes_per_request
 fi
 
 section "ci.sh: all gates passed"

@@ -25,6 +25,10 @@
 //!   `*_requests_per_sec` is requests over all repeats ÷ that wall,
 //!   `*_wall_s` the wall per replay, `*_completed`/`*_shed` those of one
 //!   replay (every repeat is the same deterministic replay).
+//!   `report_bytes_per_request` and `trace_bytes_per_request` are the
+//!   heap bytes one report owns and the bytes of the trace's records,
+//!   per request, the largest over the leg's replays: exact counts that
+//!   repeat run to run.
 //! * `results/bench_history.jsonl` — one appended line per run with the
 //!   headline rates, so the perf trajectory of the codebase is
 //!   recorded over time instead of overwritten.
@@ -49,7 +53,7 @@ use tango_sim::{memo_env_enabled, memo_table_stats, GpuConfig, SimOptions};
 /// Default least timed simulator passes per network (after the cold pass).
 const DEFAULT_TIMED_RUNS: u32 = 2;
 const DEVICES: usize = 2;
-const DISTINCT_INPUTS: u64 = 4;
+const DISTINCT_INPUTS: u32 = 4;
 const REQUESTS: usize = 200;
 const MAX_BATCH: u32 = 8;
 /// Least wall a leg accumulates over its repeats: long enough that timer
@@ -134,6 +138,7 @@ fn serve_leg(kinds: &[NetworkKind], preset: Preset, workers: usize) -> tango_ser
         .int("devices", DEVICES as u64)
         .int("requests", REQUESTS as u64)
         .int("max_batch", MAX_BATCH as u64);
+    let mut footprint = Footprint::default();
     for &kind in kinds {
         let service_1 = cost.batch_cycles(kind, 1)?;
         let interarrival = (service_1 / DEVICES as u64).max(1);
@@ -147,6 +152,7 @@ fn serve_leg(kinds: &[NetworkKind], preset: Preset, workers: usize) -> tango_ser
             },
         };
         let (report, wall_s) = timed_replays(1, || run_trace(&trace, &config, &cost))?;
+        footprint.add(report.heap_bytes(), size_of_val(trace.arrivals()), trace.len());
         let key = kind.name().to_ascii_lowercase();
         obj = obj
             .int(&format!("{key}_completed"), report.completed() as u64)
@@ -155,7 +161,27 @@ fn serve_leg(kinds: &[NetworkKind], preset: Preset, workers: usize) -> tango_ser
             .num(&format!("{key}_requests_per_sec"), report.completed() as f64 / wall_s)
             .num(&format!("{key}_req_per_mcycle"), report.throughput_per_mcycle());
     }
-    Ok(obj)
+    Ok(footprint.write(obj))
+}
+
+/// The largest per-request footprint over a leg's replays.
+#[derive(Default)]
+struct Footprint {
+    report: f64,
+    trace: f64,
+}
+
+impl Footprint {
+    fn add(&mut self, report_bytes: usize, trace_bytes: usize, requests: usize) {
+        let per_request = |bytes: usize| bytes as f64 / requests.max(1) as f64;
+        self.report = self.report.max(per_request(report_bytes));
+        self.trace = self.trace.max(per_request(trace_bytes));
+    }
+
+    fn write(&self, obj: JsonObject) -> JsonObject {
+        obj.num("report_bytes_per_request", self.report)
+            .num("trace_bytes_per_request", self.trace)
+    }
 }
 
 /// Fleet-engine throughput: the heterogeneous DES itself, timed over
@@ -189,6 +215,7 @@ fn fleet_leg() -> tango_serve::Result<JsonObject> {
         .int("requests", FLEET_REQUESTS as u64)
         .int("pools", costs.len() as u64);
     let (mut total_completed, mut total_wall_s) = (0u64, 0.0f64);
+    let mut footprint = Footprint::default();
     for policy in RoutePolicy::ALL {
         let config = FleetConfig {
             pools: vec![
@@ -208,6 +235,7 @@ fn fleet_leg() -> tango_serve::Result<JsonObject> {
             }),
         };
         let (report, wall_s) = timed_replays(1, || run_fleet(&trace, &config, &costs))?;
+        footprint.add(report.heap_bytes(), size_of_val(trace.requests()), trace.len());
         total_completed += report.completed() as u64;
         total_wall_s += wall_s;
         let key = policy.name();
@@ -217,7 +245,7 @@ fn fleet_leg() -> tango_serve::Result<JsonObject> {
             .num(&format!("{key}_wall_s"), wall_s)
             .num(&format!("{key}_requests_per_sec"), report.completed() as f64 / wall_s);
     }
-    Ok(obj.num("fleet_requests_per_sec", total_completed as f64 / total_wall_s))
+    Ok(footprint.write(obj.num("fleet_requests_per_sec", total_completed as f64 / total_wall_s)))
 }
 
 /// One `bench_history.jsonl` record: headline rates copied from the

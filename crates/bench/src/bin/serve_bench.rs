@@ -22,7 +22,7 @@ use tango_serve::{run_trace, ArrivalTrace, BatchPolicy, CostModel, ServeConfig, 
 use tango_sim::{GpuConfig, SimOptions};
 
 const DEVICES: usize = 2;
-const DISTINCT_INPUTS: u64 = 4;
+const DISTINCT_INPUTS: u32 = 4;
 
 struct Row {
     kind: NetworkKind,

@@ -19,6 +19,7 @@ use crate::metrics::{emit_alert_instants, FleetMetrics, FleetMetricsConfig, Flee
 use crate::router::{Placement, PoolView, Router, ShedReason};
 use crate::trace::FleetTrace;
 use std::collections::VecDeque;
+use std::mem::size_of;
 use tango_obs::{Domain, Phase};
 use tango_serve::{BatchCost, CostTable, DeviceSet, KindIndex, LatencySummary, Result, ServeError};
 
@@ -152,6 +153,19 @@ impl FleetReport {
             return 0.0;
         }
         self.total_energy_j() / done as f64
+    }
+
+    /// Heap bytes the report owns: its latency columns, its shed counts
+    /// and its pool accounting.
+    pub fn heap_bytes(&self) -> usize {
+        let ClassOutcomes { latencies, sheds, .. } = &self.records;
+        let columns: usize = latencies.iter().map(|c| c.capacity() * size_of::<u64>()).sum();
+        let names: usize = self.pools.iter().map(|p| p.name.capacity()).sum();
+        columns
+            + latencies.capacity() * size_of::<Vec<u64>>()
+            + sheds.capacity() * size_of::<[usize; ShedReason::ALL.len()]>()
+            + self.pools.capacity() * size_of::<PoolStats>()
+            + names
     }
 }
 
@@ -338,7 +352,7 @@ fn run_fleet_inner(
     let classes = config.classes.len();
     let mut per_class = vec![0usize; classes];
     for req in requests {
-        per_class[req.class] += 1;
+        per_class[req.class as usize] += 1;
     }
     let mut outcomes = ClassOutcomes {
         latencies: per_class.into_iter().map(Vec::with_capacity).collect(),
@@ -455,6 +469,7 @@ fn run_fleet_inner(
         while next_arrival < requests.len() && requests[next_arrival].at_ns <= now {
             let req = &requests[next_arrival];
             let k = kind_index.get(req.kind).expect("a trace holds only its own kinds");
+            let class = req.class as usize;
             // Snapshot the fleet for the router.
             views.clear();
             for (i, p) in pools.iter().enumerate() {
@@ -472,9 +487,9 @@ fn run_fleet_inner(
                     service_ns: svc,
                 });
             }
-            let slo = config.classes[req.class].slo_ns;
+            let slo = config.classes[class].slo_ns;
             if let Some(m) = metrics.as_deref_mut() {
-                m.on_arrival(req.at_ns, req.class);
+                m.on_arrival(req.at_ns, class);
             }
             match router.place(&views, config.queue_bound, slo) {
                 Placement::Pool(i) => {
@@ -482,13 +497,13 @@ fn run_fleet_inner(
                     // The slot's latency is written when its batch
                     // retires; admitted requests always complete (the
                     // loop drains queues).
-                    let column = &mut outcomes.latencies[req.class];
+                    let column = &mut outcomes.latencies[class];
                     let item = Queued {
                         slot: column.len(),
                         at_ns: req.at_ns,
                     };
                     column.push(0);
-                    p.enqueue(req.class * nk + k, item, &batching);
+                    p.enqueue(class * nk + k, item, &batching);
                     queued += 1;
                     tango_obs::track_event_at(
                         Domain::Fleet,
@@ -505,7 +520,7 @@ fn run_fleet_inner(
                 }
                 Placement::Shed(reason) => {
                     sheds_since_eval += 1;
-                    outcomes.sheds[req.class][reason as usize] += 1;
+                    outcomes.sheds[class][reason as usize] += 1;
                     tango_obs::track_event_at(
                         Domain::Fleet,
                         now,
@@ -516,7 +531,7 @@ fn run_fleet_inner(
                         0,
                     );
                     if let Some(m) = metrics.as_deref_mut() {
-                        m.on_shed(now, req.class, reason);
+                        m.on_shed(now, class, reason);
                     }
                 }
             }
@@ -743,7 +758,7 @@ mod reference {
         let mut records: Vec<FleetRecord> = requests
             .iter()
             .map(|r| FleetRecord {
-                class: r.class,
+                class: r.class as usize,
                 arrival_ns: r.at_ns,
                 outcome: FleetOutcome::Shed {
                     reason: ShedReason::NoCapacity, // placeholder, always overwritten
@@ -851,7 +866,7 @@ mod reference {
             // 3. Admit (or shed) every arrival due by `now`, trace order.
             while next_arrival < requests.len() && requests[next_arrival].at_ns <= now {
                 let req = &requests[next_arrival];
-                let k = kind_index(req.kind);
+                let (k, class) = (kind_index(req.kind), req.class as usize);
                 // Snapshot the fleet for the router.
                 let mut views = Vec::with_capacity(pools.len());
                 for (i, p) in pools.iter().enumerate() {
@@ -869,14 +884,14 @@ mod reference {
                         service_ns: svc,
                     });
                 }
-                let slo = config.classes[req.class].slo_ns;
+                let slo = config.classes[class].slo_ns;
                 if let Some(m) = metrics.as_deref_mut() {
-                    m.on_arrival(req.at_ns, req.class);
+                    m.on_arrival(req.at_ns, class);
                 }
                 records[next_arrival].outcome = match router.place(&views, config.queue_bound, slo) {
                     Placement::Pool(i) => {
                         let p = &mut pools[i];
-                        p.queues[req.class * nk + k].push_back(Queued {
+                        p.queues[class * nk + k].push_back(Queued {
                             record_idx: next_arrival,
                             at_ns: req.at_ns,
                         });
@@ -911,7 +926,7 @@ mod reference {
                             0,
                         );
                         if let Some(m) = metrics.as_deref_mut() {
-                            m.on_shed(now, req.class, reason);
+                            m.on_shed(now, class, reason);
                         }
                         FleetOutcome::Shed { reason }
                     }
@@ -1079,7 +1094,7 @@ mod differential {
                 FleetRequest {
                     at_ns,
                     kind: kinds[rng.below(kinds.len() as u64) as usize],
-                    class: rng.below(classes as u64) as usize,
+                    class: rng.below(classes as u64) as u32,
                 }
             })
             .collect();
@@ -1233,6 +1248,12 @@ mod differential {
             );
             let classes = config.classes.len();
             assert!(outcomes.latencies.capacity() <= classes && outcomes.sheds.capacity() <= classes);
+            let fixed = 256 * (classes + config.pools.len());
+            assert!(
+                report.heap_bytes() <= columns * size_of::<u64>() + fixed,
+                "seed {seed}: {} bytes for {columns} slots",
+                report.heap_bytes()
+            );
             assert!(
                 report.class_latency(classes).is_none(),
                 "seed {seed}: a class past the config's"

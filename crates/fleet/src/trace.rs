@@ -26,8 +26,10 @@ pub struct FleetRequest {
     /// Priority class index into [`FleetConfig::classes`].
     ///
     /// [`FleetConfig::classes`]: crate::config::FleetConfig::classes
-    pub class: usize,
+    pub class: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<FleetRequest>() == 16);
 
 /// A pre-generated, time-sorted request stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,7 +144,7 @@ impl FleetTrace {
             .map(|at_ns| FleetRequest {
                 at_ns,
                 kind: kinds[rng.below(kinds.len() as u64) as usize],
-                class: rng.below(classes as u64) as usize,
+                class: rng.below(classes as u64) as u32,
             })
             .collect();
         FleetTrace {
@@ -164,7 +166,10 @@ impl FleetTrace {
             requests.windows(2).all(|w| w[0].at_ns <= w[1].at_ns),
             "requests must be sorted by time"
         );
-        assert!(requests.iter().all(|r| r.class < classes), "class index out of range");
+        assert!(
+            requests.iter().all(|r| (r.class as usize) < classes),
+            "class index out of range"
+        );
         let index = KindIndex::new(kinds);
         assert!(
             requests.iter().all(|r| index.get(r.kind).is_some()),

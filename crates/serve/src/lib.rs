@@ -47,7 +47,7 @@ mod tables;
 mod trace;
 
 pub use cost::{BatchCost, CostModel, SimCostModel, TableCostModel};
-pub use engine::{run_trace, Outcome, RequestRecord, ServeReport};
+pub use engine::{run_trace, Outcome, RequestLog, RequestRecord, ServeReport};
 pub use error::{Result, ServeError};
 pub use metrics::{percentile, serve_metrics, LatencySummary};
 pub use policy::{BatchPolicy, ServeConfig};

@@ -198,17 +198,22 @@ impl KindSeries {
 ///
 /// [`run_trace`]: crate::engine::run_trace
 pub fn serve_metrics(report: &ServeReport, window: u64) -> MetricsRegistry {
+    records_metrics(report.records.iter(), window)
+}
+
+/// [`serve_metrics`] of a report's records, in trace order.
+pub(crate) fn records_metrics(records: impl IntoIterator<Item = RequestRecord>, window: u64) -> MetricsRegistry {
     let mut registry = MetricsRegistry::new("cycles", window);
     // Indexed by `kind as usize`; a kind's series are named on first sight.
     let mut kinds: Vec<Option<KindSeries>> = Vec::new();
-    for r in &report.records {
+    for r in records {
         let code = r.kind as usize;
         if kinds.len() <= code {
             kinds.resize_with(code + 1, || None);
         }
         kinds[code]
             .get_or_insert_with(|| KindSeries::new(&mut registry, r.kind.name()))
-            .record(&mut registry, r);
+            .record(&mut registry, &r);
     }
     for series in kinds.iter_mut().flatten() {
         series.replay_depth(&mut registry, None);
@@ -269,7 +274,7 @@ mod tests {
         let series = |stem: &str, kind: &str| format!("{stem}{{kind=\"{}\"}}", escape_label_value(kind));
         let mut depth_events: BTreeMap<(u64, u8, &str), i64> = BTreeMap::new();
         let mut batches: BTreeMap<(usize, u64, u64), (&str, u32)> = BTreeMap::new();
-        for r in &report.records {
+        for r in report.records.iter() {
             let kind = r.kind.name();
             registry.counter_add(&series("tango_serve_requests_total", kind), r.arrival, 1);
             match r.outcome {
@@ -376,23 +381,26 @@ mod tests {
                 assert_eq!(got.prometheus_text(), want.prometheus_text(), "{name}, window {window}");
             }
         }
-        // All shed: every record is an admission refusal.
-        let mut all_shed = run_trace(
-            &ArrivalTrace::open_loop(&[gru, cifar], 500, 1_000, 4, 3),
-            &config(1, 8, 2, 100),
-            &cost,
-        )
-        .unwrap();
-        for r in &mut all_shed.records {
-            r.outcome = Outcome::Shed { queue_len: 8 };
-        }
+        // Nearly all shed: the first batch holds the one device for a
+        // billion cycles and each kind's queue holds one request, so
+        // every other arrival is an admission refusal.
+        let stalled = TableCostModel::new()
+            .with_kind(gru, 1_000_000_000, 0)
+            .with_kind(cifar, 1_000_000_000, 0);
+        let trace = ArrivalTrace::open_loop(&[gru, cifar], 500, 1_000, 4, 3);
+        let nearly_all_shed = run_trace(&trace, &config(1, 1, 2, 100), &stalled).unwrap();
+        assert!(nearly_all_shed.completed() <= 4, "{}", nearly_all_shed.completed());
         let (got, want) = (
-            serve_metrics(&all_shed, 10_000),
-            serve_metrics_by_ordered_maps(&all_shed, 10_000),
+            serve_metrics(&nearly_all_shed, 10_000),
+            serve_metrics_by_ordered_maps(&nearly_all_shed, 10_000),
         );
-        assert_eq!(got.render_text("all shed"), want.render_text("all shed"));
+        assert_eq!(got.render_text("nearly all shed"), want.render_text("nearly all shed"));
         assert_eq!(got.names(), want.names());
-        assert!(got.names().iter().all(|n| n.contains("_total")), "{:?}", got.names());
+        let shed: u64 = [gru, cifar]
+            .iter()
+            .filter_map(|k| got.counter_total(&format!("tango_serve_shed_total{{kind=\"{}\"}}", k.name())))
+            .sum();
+        assert_eq!(shed, nearly_all_shed.shed() as u64);
     }
 
     #[test]
@@ -520,11 +528,14 @@ mod tests {
 
     #[test]
     fn serve_metrics_of_an_empty_report_is_empty() {
-        let report = ServeReport {
-            records: vec![],
-            makespan: 0,
-            batches: 0,
+        let cfg = ServeConfig {
+            devices: 1,
+            queue_bound: 1,
+            policy: BatchPolicy::immediate(),
         };
+        let trace = ArrivalTrace::from_arrivals(&[NetworkKind::Gru], Vec::new());
+        let report = run_trace(&trace, &cfg, &TableCostModel::new()).unwrap();
+        assert!(report.records.is_empty());
         let m = serve_metrics(&report, 100);
         assert!(m.is_empty());
         tango_obs::metrics::validate_exposition(&m.prometheus_text()).unwrap();

@@ -16,7 +16,7 @@
 use crate::error::{Result, ServeError};
 use std::collections::VecDeque;
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use tango_nets::{build_network, synthetic_input, NetworkKind, Preset};
 use tango_sim::{Gpu, GpuConfig, SimOptions};
@@ -76,6 +76,20 @@ struct Shared {
     kinds: Vec<NetworkKind>,
     queue_bound: usize,
     max_batch: usize,
+}
+
+impl Shared {
+    /// The state, recovered if a thread panicked holding it: every
+    /// mutation of `State` is one push, pop, remove or add, so a panic
+    /// cannot leave it half-updated.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Waits for work, recovering a poisoned lock as [`lock`](Self::lock) does.
+    fn wait<'a>(&self, state: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+        self.work.wait(state).unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A handle to one submitted request; [`wait`](Self::wait) blocks until
@@ -166,7 +180,7 @@ impl Service {
         let Some(k) = self.shared.kinds.iter().position(|&x| x == kind) else {
             return Err(ServeError::Config(format!("service does not host {kind}")));
         };
-        let mut state = self.shared.state.lock().expect("service lock");
+        let mut state = self.shared.lock();
         if state.shutting_down {
             return Err(ServeError::Shutdown);
         }
@@ -187,12 +201,12 @@ impl Service {
 
     /// Requests shed at admission so far.
     pub fn shed_count(&self) -> u64 {
-        self.shared.state.lock().expect("service lock").shed
+        self.shared.lock().shed
     }
 
     /// Requests completed so far.
     pub fn completed_count(&self) -> u64 {
-        self.shared.state.lock().expect("service lock").completed
+        self.shared.lock().completed
     }
 
     /// Stops admitting, drains every queued request, and joins the
@@ -200,7 +214,7 @@ impl Service {
     /// [`ServeError::Shutdown`].
     pub fn shutdown(mut self) {
         {
-            let mut state = self.shared.state.lock().expect("service lock");
+            let mut state = self.shared.lock();
             state.shutting_down = true;
             if self.workers.is_empty() {
                 // Nobody will ever drain the queues; fail the waiters.
@@ -237,7 +251,7 @@ fn worker_loop(shared: &Shared, config: &ServiceConfig) {
 
     loop {
         let (k, batch) = {
-            let mut state = shared.state.lock().expect("service lock");
+            let mut state = shared.lock();
             loop {
                 if let Some((k, head_seed)) = state
                     .queues
@@ -263,7 +277,7 @@ fn worker_loop(shared: &Shared, config: &ServiceConfig) {
                 if state.shutting_down {
                     return;
                 }
-                state = shared.work.wait(state).expect("service lock");
+                state = shared.wait(state);
             }
         };
 
@@ -286,7 +300,7 @@ fn worker_loop(shared: &Shared, config: &ServiceConfig) {
                     cycles: report.total_cycles(),
                     output: report.output.as_slice().to_vec(),
                 };
-                let mut state = shared.state.lock().expect("service lock");
+                let mut state = shared.lock();
                 state.completed += batch.len() as u64;
                 tango_obs::hcounter("serve.service", "completed_total", state.completed as i64);
                 drop(state);
@@ -307,7 +321,7 @@ fn worker_loop(shared: &Shared, config: &ServiceConfig) {
 fn fail_all_requests(shared: &Shared, msg: &str) {
     loop {
         let batch: Vec<Pending> = {
-            let mut state = shared.state.lock().expect("service lock");
+            let mut state = shared.lock();
             loop {
                 let drained: Vec<Pending> = state.queues.iter_mut().flat_map(|q| q.drain(..)).collect();
                 if !drained.is_empty() {
@@ -316,11 +330,49 @@ fn fail_all_requests(shared: &Shared, msg: &str) {
                 if state.shutting_down {
                     return;
                 }
-                state = shared.work.wait(state).expect("service lock");
+                state = shared.wait(state);
             }
         };
         for pending in batch {
             let _ = pending.reply.send(Err(ServeError::Config(msg.to_string())));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_poisoned_lock_still_admits_counts_and_shuts_down() {
+        // No workers: nothing builds a network or drains the queue.
+        let service = Service::start(ServiceConfig {
+            kinds: vec![NetworkKind::Gru],
+            preset: Preset::Tiny,
+            seed: 1,
+            gpu: GpuConfig::gp102(),
+            options: SimOptions::new(),
+            workers: 0,
+            queue_bound: 2,
+            max_batch: 1,
+        })
+        .unwrap();
+        let shared = Arc::clone(&service.shared);
+        let holder = std::thread::spawn(move || {
+            let _state = shared.state.lock().unwrap();
+            panic!("panics while holding the service lock");
+        });
+        assert!(holder.join().is_err());
+        assert!(service.shared.state.is_poisoned());
+
+        let ticket = service.submit(NetworkKind::Gru, 1).expect("admitted");
+        service.submit(NetworkKind::Gru, 2).expect("admitted");
+        assert!(matches!(
+            service.submit(NetworkKind::Gru, 3),
+            Err(ServeError::Shed { queue_len: 2, .. })
+        ));
+        assert_eq!((service.shed_count(), service.completed_count()), (1, 0));
+        service.shutdown();
+        assert!(matches!(ticket.wait(), Err(ServeError::Shutdown)));
     }
 }

@@ -1,4 +1,5 @@
 use crate::tables::KindIndex;
+use std::sync::Arc;
 use tango_nets::NetworkKind;
 use tango_tensor::SplitMix64;
 
@@ -10,19 +11,25 @@ pub struct Arrival {
     /// Which network it asks for.
     pub kind: NetworkKind,
     /// Seed identifying the request payload (`synthetic_input` seed).
-    pub input_seed: u64,
+    pub input_seed: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Arrival>() == 16);
 
 /// A pre-generated, time-sorted stream of requests.
 ///
 /// Traces are generated ahead of the run (open-loop: arrivals do not
 /// react to service latency, the datacenter-side assumption) and fully
 /// determined by their seed, so the same trace can be replayed against
-/// any engine configuration or worker count.
+/// any engine configuration or worker count. The arrivals are shared:
+/// a clone of the trace, or a [`ServeReport`] replayed from it, holds
+/// the same allocation.
+///
+/// [`ServeReport`]: crate::ServeReport
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArrivalTrace {
     kinds: Vec<NetworkKind>,
-    arrivals: Vec<Arrival>,
+    arrivals: Arc<[Arrival]>,
 }
 
 impl ArrivalTrace {
@@ -44,7 +51,7 @@ impl ArrivalTrace {
         kinds: &[NetworkKind],
         count: usize,
         mean_interarrival_cycles: u64,
-        distinct_inputs: u64,
+        distinct_inputs: u32,
         seed: u64,
     ) -> Self {
         assert!(!kinds.is_empty(), "trace needs at least one network kind");
@@ -52,7 +59,9 @@ impl ArrivalTrace {
         assert!(distinct_inputs > 0, "need at least one distinct input");
         let mut rng = SplitMix64::new(seed);
         let mut at_cycle = 0u64;
-        let arrivals = (0..count)
+        // A mapped range has an exact length, so this fills the shared
+        // allocation in place.
+        let arrivals: Arc<[Arrival]> = (0..count)
             .map(|_| {
                 // Inverse-CDF exponential sampling, clamped to ≥ 1 cycle
                 // so arrivals keep strictly increasing pressure.
@@ -62,7 +71,7 @@ impl ArrivalTrace {
                 Arrival {
                     at_cycle,
                     kind: kinds[rng.below(kinds.len() as u64) as usize],
-                    input_seed: rng.below(distinct_inputs),
+                    input_seed: rng.below(u64::from(distinct_inputs)) as u32,
                 }
             })
             .collect();
@@ -91,7 +100,7 @@ impl ArrivalTrace {
         );
         ArrivalTrace {
             kinds: kinds.to_vec(),
-            arrivals,
+            arrivals: arrivals.into(),
         }
     }
 
@@ -102,6 +111,11 @@ impl ArrivalTrace {
 
     /// The requests, time-sorted.
     pub fn arrivals(&self) -> &[Arrival] {
+        &self.arrivals
+    }
+
+    /// The requests as the shared allocation a report keeps.
+    pub(crate) fn shared_arrivals(&self) -> &Arc<[Arrival]> {
         &self.arrivals
     }
 
