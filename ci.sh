@@ -367,9 +367,11 @@ for f in BENCH_sim.json BENCH_serve.json BENCH_fleet.json; do
         grep -E '^(perfdiff|no gating rate)' "$SCRATCH/perf/${f}.diff"
     fi
 done
-# The memo table's footprint and the DES reports' and traces' bytes per
-# request are counts that repeat exactly run to run, unlike the rates
-# above, so they gate: none may exceed the committed one.
+# The memo table's footprint, the cold passes' issue-stage host work
+# (SM visits, issue checks by kind, issues: tango_sim::HostWork) and the
+# DES reports' and traces' bytes per request are counts that repeat
+# exactly run to run, unlike the rates above, so they gate: none may
+# exceed the committed one.
 # gate_counts <file> <key>...
 gate_counts() {
     local f="$1"
@@ -381,7 +383,13 @@ sys.exit(any(new[k] > old[k] for k in sys.argv[3:]))' "results/$f" "$SCRATCH/per
         { echo "FAIL: a count in $f grew past results/$f's" >&2; exit 1; }
 }
 if command -v python3 >/dev/null 2>&1; then
-    gate_counts BENCH_sim.json memo_table_bytes
+    sim_counts=""
+    for net in cifarnet gru; do
+        for count in sm_calls quiet_skips walk_checks fresh_scoreboard fresh_throttle fresh_pipe_busy census_checks issues; do
+            sim_counts="$sim_counts ${net}_cold_$count"
+        done
+    done
+    gate_counts BENCH_sim.json memo_table_bytes $sim_counts
     gate_counts BENCH_serve.json report_bytes_per_request trace_bytes_per_request
     gate_counts BENCH_fleet.json report_bytes_per_request trace_bytes_per_request
 fi

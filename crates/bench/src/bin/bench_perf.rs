@@ -10,7 +10,10 @@
 //!   enabled, so the cold/warm ratio is the memoization speedup. A warm
 //!   pass takes a millisecond or a few, so the timed passes repeat like
 //!   the serve and fleet replays below, and never fewer than
-//!   `timed_runs` times: `*_wall_s` is the wall per pass.
+//!   `timed_runs` times: `*_wall_s` is the wall per pass. The cold pass
+//!   also records the simulator's issue-stage host work
+//!   (`<network>_cold_<count>`, see `tango_sim::HostWork`): exact counts
+//!   that repeat run to run.
 //! * `results/BENCH_serve.json` — serve-engine throughput: requests per
 //!   wall-clock second and per simulated megacycle for an open-loop
 //!   trace at offered load 1.0, with batch costs precomputed through
@@ -44,7 +47,7 @@
 
 use std::process::ExitCode;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
-use tango::{simulate_run, RunSpec};
+use tango::{simulate_run, simulate_run_counted, RunSpec};
 use tango_bench::{append_line, emit, store_handle, CliError, Env, JsonObject, SEED};
 use tango_nets::{NetworkKind, Preset};
 use tango_serve::{run_trace, ArrivalTrace, BatchPolicy, CostModel, ServeConfig, SimCostModel};
@@ -88,7 +91,7 @@ fn sim_leg(kinds: &[NetworkKind], preset: Preset, timed_runs: u32) -> tango::Res
         // Cold pass: nothing recorded yet for this network, so every
         // launch is fully simulated (and recorded when memo is on).
         let cold_start = Instant::now();
-        let cold = simulate_run(&spec)?;
+        let (cold, work) = simulate_run_counted(&spec)?;
         let cold_wall_s = cold_start.elapsed().as_secs_f64();
         let cycles = cold.report.total_cycles();
         let (_, wall_s) = timed_replays(timed_runs, || {
@@ -102,6 +105,9 @@ fn sim_leg(kinds: &[NetworkKind], preset: Preset, timed_runs: u32) -> tango::Res
             .num(&format!("{key}_cold_sim_cycles_per_sec"), cycles as f64 / cold_wall_s)
             .num(&format!("{key}_wall_s"), wall_s)
             .num(&format!("{key}_sim_cycles_per_sec"), cycles as f64 / wall_s);
+        for (name, count) in work.fields() {
+            obj = obj.int(&format!("{key}_cold_{name}"), count);
+        }
     }
     let (memo_keys, memo_entries, memo_bytes) = memo_table_stats();
     Ok(obj

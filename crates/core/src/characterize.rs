@@ -16,7 +16,7 @@ use std::fmt;
 use std::sync::Arc;
 use tango_isa::{max_live_registers, Dim3};
 use tango_nets::{build_network, synthetic_input, InferenceReport, NetworkKind, Preset};
-use tango_sim::{Gpu, GpuConfig, SimOptions};
+use tango_sim::{Gpu, GpuConfig, HostWork, SimOptions};
 
 /// Reproducible driver for one (GPU config, preset, seed) combination.
 ///
@@ -158,15 +158,27 @@ pub trait RunSource: Send + Sync {
 ///
 /// Propagates network-construction and input errors.
 pub fn simulate_run(spec: &RunSpec) -> Result<NetworkRun> {
+    simulate_run_counted(spec).map(|(run, _)| run)
+}
+
+/// [`simulate_run`], also returning what the simulator did to produce
+/// the run: the device's issue-stage [`HostWork`] counts, which repeat
+/// exactly run to run (launches the memo replays add nothing).
+///
+/// # Errors
+///
+/// Propagates network-construction and input errors.
+pub fn simulate_run_counted(spec: &RunSpec) -> Result<(NetworkRun, HostWork)> {
     let mut gpu = Gpu::new(spec.config.clone());
     let net = build_network(&mut gpu, spec.kind, spec.preset, spec.seed)?;
     let input = synthetic_input(net.input_spec(), spec.seed ^ 0x1234_5678);
     let report = net.infer(&mut gpu, &input, &spec.options)?;
-    Ok(NetworkRun {
+    let run = NetworkRun {
         kind: spec.kind,
         report,
         footprint_bytes: gpu.memory_footprint_bytes(),
-    })
+    };
+    Ok((run, gpu.host_work()))
 }
 
 /// Builds one network (no simulation) and captures the static facts the

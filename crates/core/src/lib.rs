@@ -43,7 +43,8 @@ pub mod report;
 pub mod tables;
 
 pub use characterize::{
-    measure_build, simulate_run, BuildSpec, BuildStats, Characterizer, LayerBuildStats, NetworkRun, RunSource, RunSpec,
+    measure_build, simulate_run, simulate_run_counted, BuildSpec, BuildStats, Characterizer, LayerBuildStats,
+    NetworkRun, RunSource, RunSpec,
 };
 pub use error::TangoError;
 pub use report::{Matrix, Unit};

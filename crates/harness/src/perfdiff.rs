@@ -66,8 +66,15 @@ const META_KEYS: [&str; 9] = [
     "bench", "preset", "seed", "memo", "timed_runs", "ts_unix", "note", "devices", "pools",
 ];
 
-/// Classifies one `BENCH_*.json` / `bench_history.jsonl` key.
-pub fn classify(key: &str) -> KeyClass {
+/// Classifies one key of a `BENCH_*.json` record whose `"bench"` field
+/// is `bench`, or of a `bench_history.jsonl` line (`None`: a history line
+/// has no such field, and all its keys are named for their leg).
+///
+/// Every cold key (`<network>_cold_*`: rates, walls and the exact
+/// host-work counts) is a sim row that never gates. A key the name rules
+/// below do not place belongs to the leg its file names, so a footprint
+/// count in `BENCH_fleet.json` is a fleet row.
+pub fn classify(key: &str, bench: Option<&str>) -> KeyClass {
     if META_KEYS.contains(&key) || key == "requests" || key == "max_batch" {
         return KeyClass {
             leg: Leg::Meta,
@@ -75,19 +82,22 @@ pub fn classify(key: &str) -> KeyClass {
             gating_rate: false,
         };
     }
-    if key.ends_with("_sim_cycles_per_sec") || key.ends_with("_total_cycles") || key.starts_with("memo_table_") {
-        let cold = key.contains("_cold_");
-        return KeyClass {
-            leg: Leg::Sim,
-            phase: if cold { "cold" } else { "warm" }.into(),
-            gating_rate: !cold && key.ends_with("_sim_cycles_per_sec"),
-        };
-    }
-    if key.ends_with("_cold_wall_s") {
+    if key.contains("_cold_") {
         return KeyClass {
             leg: Leg::Sim,
             phase: "cold".into(),
             gating_rate: false,
+        };
+    }
+    if key.ends_with("_sim_cycles_per_sec")
+        || key.ends_with("_total_cycles")
+        || key.starts_with("memo_table_")
+        || bench == Some("sim")
+    {
+        return KeyClass {
+            leg: Leg::Sim,
+            phase: "warm".into(),
+            gating_rate: key.ends_with("_sim_cycles_per_sec"),
         };
     }
     if let Some(prefix) = FLEET_PREFIXES.iter().find(|p| key.starts_with(**p)) {
@@ -99,6 +109,13 @@ pub fn classify(key: &str) -> KeyClass {
                 prefix.trim_end_matches('_').into()
             },
             gating_rate: key.ends_with("_requests_per_sec"),
+        };
+    }
+    if bench == Some("fleet") {
+        return KeyClass {
+            leg: Leg::Fleet,
+            phase: "overall".into(),
+            gating_rate: false,
         };
     }
     // Everything else keyed `<network>_...` is the serve leg.
@@ -230,11 +247,15 @@ pub fn diff(old: &[(String, FlatValue)], new: &[(String, FlatValue)]) -> PerfDif
     let find = |rec: &[(String, FlatValue)], key: &str| -> Option<FlatValue> {
         rec.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
     };
+    let bench = match find(old, "bench").or_else(|| find(new, "bench")) {
+        Some(FlatValue::String(bench)) => Some(bench),
+        _ => None,
+    };
     let mut rows = Vec::new();
     let mut meta_changes = Vec::new();
     let mut seen: Vec<&str> = Vec::new();
     let mut visit = |key: &str, old_v: Option<FlatValue>, new_v: Option<FlatValue>| {
-        let class = classify(key);
+        let class = classify(key, bench.as_deref());
         if class.leg == Leg::Meta {
             let text = |v: &Option<FlatValue>| match v {
                 Some(FlatValue::Number(n)) => format_value(*n),
@@ -327,27 +348,53 @@ mod tests {
 
     #[test]
     fn classification_covers_the_committed_key_space() {
-        let sim = classify("gru_sim_cycles_per_sec");
+        let sim = classify("gru_sim_cycles_per_sec", None);
         assert_eq!((sim.leg, sim.phase.as_str(), sim.gating_rate), (Leg::Sim, "warm", true));
-        let cold = classify("cifarnet_cold_sim_cycles_per_sec");
+        let cold = classify("cifarnet_cold_sim_cycles_per_sec", None);
         assert_eq!((cold.leg, cold.phase.as_str(), cold.gating_rate), (Leg::Sim, "cold", false));
-        let cold_wall = classify("gru_cold_wall_s");
+        let cold_wall = classify("gru_cold_wall_s", None);
         assert_eq!((cold_wall.leg, cold_wall.phase.as_str()), (Leg::Sim, "cold"));
-        let memo = classify("memo_table_entries");
+        let memo = classify("memo_table_entries", None);
         assert_eq!((memo.leg, memo.gating_rate), (Leg::Sim, false));
-        let fleet = classify("cost_aware_requests_per_sec");
+        let fleet = classify("cost_aware_requests_per_sec", None);
         assert_eq!(
             (fleet.leg, fleet.phase.as_str(), fleet.gating_rate),
             (Leg::Fleet, "cost_aware", true)
         );
-        let overall = classify("fleet_requests_per_sec");
+        let overall = classify("fleet_requests_per_sec", None);
         assert_eq!((overall.leg, overall.phase.as_str(), overall.gating_rate), (Leg::Fleet, "overall", true));
-        let serve = classify("gru_requests_per_sec");
+        let serve = classify("gru_requests_per_sec", None);
         assert_eq!((serve.leg, serve.phase.as_str(), serve.gating_rate), (Leg::Serve, "gru", true));
-        let serve_aux = classify("cifarnet_req_per_mcycle");
+        let serve_aux = classify("cifarnet_req_per_mcycle", None);
         assert_eq!((serve_aux.leg, serve_aux.gating_rate), (Leg::Serve, false));
-        assert_eq!(classify("preset").leg, Leg::Meta);
-        assert_eq!(classify("ts_unix").leg, Leg::Meta);
+        assert_eq!(classify("preset", None).leg, Leg::Meta);
+        assert_eq!(classify("ts_unix", None).leg, Leg::Meta);
+    }
+
+    #[test]
+    fn keys_are_classified_by_their_files_leg() {
+        // A footprint count read as leg `serve` when only the key was seen.
+        let record = |bench: &str, keys: &str| parse_flat(&format!(r#"{{"bench":"{bench}",{keys}}}"#)).unwrap();
+        let fleet_keys = r#""report_bytes_per_request":8.0,"trace_bytes_per_request":16.0,"cost_aware_requests_per_sec":5.0"#;
+        let d = diff(&record("fleet", fleet_keys), &record("fleet", fleet_keys));
+        for key in ["report_bytes_per_request", "trace_bytes_per_request"] {
+            let row = d.rows.iter().find(|r| r.key == key).unwrap();
+            assert_eq!((row.class.leg, row.class.phase.as_str(), row.class.gating_rate), (Leg::Fleet, "overall", false));
+        }
+        let serve = classify("report_bytes_per_request", Some("serve"));
+        assert_eq!((serve.leg, serve.gating_rate), (Leg::Serve, false));
+
+        // The host-work counts are cold sim rows, and a grown count is
+        // not a rate regression (ci.sh gates the counts on their own).
+        let old = record("sim", r#""cifarnet_cold_walk_checks":100,"gru_cold_sm_calls":10,"memo_table_bytes":5"#);
+        let new = record("sim", r#""cifarnet_cold_walk_checks":10,"gru_cold_sm_calls":30,"memo_table_bytes":5"#);
+        let d = diff(&old, &new);
+        assert!(d.regressions().is_empty());
+        for row in &d.rows {
+            assert_eq!(row.class.leg, Leg::Sim, "{}", row.key);
+            assert!(!row.class.gating_rate, "{}", row.key);
+        }
+        assert_eq!(classify("gru_cold_sm_calls", None).phase, "cold");
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::memsys::{Hierarchy, MemorySystem};
 use crate::power::PowerMeter;
 use crate::sched::Scheduler;
 use crate::sm::{LaunchAgg, Sm, SmEnv};
-use crate::stats::KernelStats;
+use crate::stats::{HostWork, KernelStats};
 use std::sync::OnceLock;
 use tango_isa::{max_live_registers, Dim3, KernelProgram};
 
@@ -61,6 +61,8 @@ pub struct Gpu {
     config_sig: u64,
     mem: GlobalMemory,
     memsys: Hierarchy,
+    /// Issue-stage host work summed over the completed launches.
+    work: HostWork,
 }
 
 impl Gpu {
@@ -72,7 +74,14 @@ impl Gpu {
             config,
             mem: GlobalMemory::new(),
             memsys,
+            work: HostWork::default(),
         }
+    }
+
+    /// The issue stage's host work, summed over every launch this device
+    /// has run to completion (a memo replay adds nothing).
+    pub fn host_work(&self) -> HostWork {
+        self.work
     }
 
     /// The device configuration.
@@ -309,6 +318,8 @@ impl Gpu {
             block,
             smem_bytes,
             sms: Vec::new(),
+            quiet_until: Vec::new(),
+            work: HostWork::default(),
             l1_geometry,
             warps_per_cta,
             policy,
@@ -392,6 +403,11 @@ pub struct LaunchFrame<'a> {
     /// The SMs that have been given a CTA, in SM-index order: a launch
     /// that fills four SMs builds four.
     sms: Vec<Sm>,
+    /// Per SM, the cycle before which a visit would only repeat its sleep
+    /// hint — which is this value (0 when the SM is awake).
+    quiet_until: Vec<u64>,
+    /// SM visits made and left out (each SM counts its own issue work).
+    work: HostWork,
     l1_geometry: Option<CacheGeometry>,
     warps_per_cta: u32,
     policy: SchedulerPolicy,
@@ -464,6 +480,7 @@ impl LaunchFrame<'_> {
                         self.params.len(),
                         Scheduler::new(self.policy, 6),
                     ));
+                    self.quiet_until.push(0);
                 }
                 let sm = &mut self.sms[i];
                 if sm.has_room() {
@@ -472,6 +489,7 @@ impl LaunchFrame<'_> {
                     let y = ((id / self.grid.x as u64) % self.grid.y as u64) as u32;
                     let z = (id / (self.grid.x as u64 * self.grid.y as u64)) as u32;
                     sm.accept_cta([x, y, z], self.program, self.block, self.smem_bytes);
+                    self.quiet_until[i] = 0; // new warps wake the SM
                     self.next_cta += 1;
                     placed = true;
                 }
@@ -499,9 +517,27 @@ impl LaunchFrame<'_> {
         };
         // In SM-index order: the shared L2/DRAM sees accesses in the order
         // the SMs are visited. An SM without a resident warp has nothing
-        // to do and nothing to report.
-        for sm in self.sms.iter_mut().filter(|sm| sm.is_active()) {
-            let (active, hint) = sm.cycle(&mut env);
+        // to do and nothing to report, and a sleeping one only repeats its
+        // hint: a slept visit touches no warp and no shared state, and the
+        // MSHR retire it would make is lazy, so leaving it out changes
+        // nothing. Debug builds make the visit and check the hint.
+        for (i, sm) in self.sms.iter_mut().enumerate() {
+            let quiet = self.quiet_until[i];
+            let (active, hint) = if self.cycle < quiet {
+                self.work.quiet_skips += 1;
+                if cfg!(debug_assertions) {
+                    let visit = sm.cycle(&mut env);
+                    assert_eq!(visit, (true, quiet), "quiet SM {i} did not repeat its sleep hint at cycle {}", self.cycle);
+                }
+                (true, quiet)
+            } else if sm.is_active() {
+                self.work.sm_calls += 1;
+                let visit = sm.cycle(&mut env);
+                self.quiet_until[i] = sm.slept_hint(self.cycle + 1).unwrap_or(0);
+                visit
+            } else {
+                continue;
+            };
             any_active |= active;
             if active {
                 active_sms += 1;
@@ -520,6 +556,10 @@ impl LaunchFrame<'_> {
 
         if !any_active && self.next_cta >= self.sim_ctas {
             self.done = true;
+            self.gpu.work.merge(&self.work);
+            for sm in &self.sms {
+                self.gpu.work.merge(&sm.work);
+            }
             return;
         }
         // Event skip: when every SM is stalled on a known future time,
@@ -998,8 +1038,10 @@ mod tests {
     /// `bar`, divergence in a 2-D block} on a TX1 (32 resident CTAs of 128
     /// threads) with grids past residency, so warp slots are recycled
     /// mid-launch. `run` drives each frame to its statistics; a row is
-    /// (cell label, stats, output buffer).
-    fn issue_matrix(mut run: impl FnMut(LaunchFrame<'_>) -> KernelStats) -> Vec<(String, KernelStats, Vec<f32>)> {
+    /// (cell label, stats, output buffer, the device's host work).
+    fn issue_matrix(
+        mut run: impl FnMut(LaunchFrame<'_>) -> KernelStats,
+    ) -> Vec<(String, KernelStats, Vec<f32>, HostWork)> {
         let kernels: [(&str, KernelProgram, u32, Dim3); 4] = [
             ("saxpy", saxpy_program(), 80, Dim3::x(128)),
             ("reuse", reuse_program(48), 40, Dim3::x(128)),
@@ -1025,7 +1067,7 @@ mod tests {
                     let frame = gpu.begin_launch(program, Dim3::x(*grid), *block, &params, program.smem_bytes(), &opts);
                     let stats = run(frame);
                     let label = format!("{policy}/{}/{name}", if l1_bypass { "no_l1" } else { "l1" });
-                    out.push((label, stats, gpu.download_f32s(y, n)));
+                    out.push((label, stats, gpu.download_f32s(y, n), gpu.host_work()));
                 }
             }
         }
@@ -1057,8 +1099,8 @@ mod tests {
         const GOLDEN_DIVERGE2D_OUTPUT: u64 = 0x5d610f5b0a31700d;
         let rows = issue_matrix(|frame| frame.finish());
         assert_eq!(rows.len(), GOLDEN.len() + GOLDEN_DIVERGE2D.len());
-        let got: Vec<u64> = rows.iter().map(|(_, stats, _)| fnv1a(format!("{stats:?}").bytes())).collect();
-        for (i, (label, stats, output)) in rows.iter().enumerate() {
+        let got: Vec<u64> = rows.iter().map(|(_, stats, ..)| fnv1a(format!("{stats:?}").bytes())).collect();
+        for (i, (label, stats, output, _)) in rows.iter().enumerate() {
             let (cell, kernel) = (i / 4, i % 4);
             let want = if kernel < 3 { GOLDEN[cell * 3 + kernel] } else { GOLDEN_DIVERGE2D[cell] };
             assert_eq!(got[i], want, "{label} diverged: {stats:?}\nall digests now: {got:#018x?}");
@@ -1084,10 +1126,62 @@ mod tests {
             assert!(frame.is_done());
             frame.finish()
         });
-        for ((label, a, out_a), (_, b, out_b)) in one_shot.iter().zip(&stepped) {
+        for ((label, a, out_a, work_a), (_, b, out_b, work_b)) in one_shot.iter().zip(&stepped) {
             assert_eq!(out_a, out_b, "{label}");
             assert_eq!(format!("{a:?}"), format!("{b:?}"), "{label}");
+            assert_eq!(work_a, work_b, "{label}: slicing changed the host work");
+            assert_eq!(work_a.issues, a.warp_instructions, "{label}");
         }
+        // The bypassed memory throttles and sleeps: some cell must have
+        // stored a throttle and left a quiet SM out of a step.
+        assert!(one_shot.iter().any(|(.., w)| w.fresh_throttle > 0 && w.quiet_skips > 0));
+    }
+
+    #[test]
+    fn a_cta_accepted_into_a_quiet_sm_is_visited_at_the_next_step() {
+        // CTA 0 waits out a cold constant fill, so SM 0 sleeps; CTA 1 runs
+        // a dependent ALU loop on SM 1, so the clock keeps stepping and
+        // the launch loop leaves the sleeping SM out.
+        let mut b = KernelBuilder::new("one_waits");
+        let (cta, i) = (b.reg(), b.reg());
+        let (first, more) = (b.pred(), b.pred());
+        b.ctaid_x(cta);
+        b.set(CmpOp::Eq, DType::U32, first, cta.into(), Operand::imm_u32(0));
+        let busy = b.label();
+        b.bra_if(first, false, busy);
+        let base = b.load_param(0);
+        b.st_global(DType::U32, base, 0, base);
+        b.exit();
+        b.place(busy);
+        b.mov(DType::U32, i, Operand::imm_u32(0));
+        let top = b.place_new_label();
+        b.add(DType::U32, i, i.into(), Operand::imm_u32(1));
+        b.set(CmpOp::Lt, DType::U32, more, i.into(), Operand::imm_u32(200));
+        b.bra_if(more, true, top);
+        b.exit();
+        let program = b.build().unwrap();
+        let mut gpu = Gpu::new(GpuConfig::gp102());
+        let buf = gpu.alloc_bytes(128);
+        let opts = SimOptions::new().with_memo(false);
+        let mut frame = gpu.begin_launch(&program, Dim3::x(2), Dim3::x(32), &[buf], 0, &opts);
+        while frame.quiet_until.first().is_none_or(|&quiet| frame.cycle >= quiet) {
+            frame.step_once();
+            assert!(frame.cycle < 1000, "the cold parameter load never quieted SM 0");
+        }
+        let (calls, issued) = (frame.work.sm_calls, frame.sms[0].work.issues);
+        frame.step_once();
+        // SM 1 was visited, SM 0 left out.
+        assert_eq!((frame.work.sm_calls, frame.work.quiet_skips), (calls + 1, 1));
+        assert_eq!(frame.sms[0].work.issues, issued);
+
+        // One more CTA (a replica of CTA 0) lands on the quiet SM: the
+        // next step visits it, and the new warp issues at once.
+        frame.sim_ctas = 3;
+        frame.step_once();
+        assert_eq!(frame.ctas_dispatched(), 3);
+        assert_eq!(frame.work.quiet_skips, 1, "the SM with new warps must be visited");
+        assert_eq!(frame.sms[0].work.issues, issued + 1);
+        frame.finish();
     }
 
     #[test]

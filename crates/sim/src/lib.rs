@@ -64,4 +64,4 @@ pub use mem::GlobalMemory;
 pub use memo::{env_enabled as memo_env_enabled, table_stats as memo_table_stats};
 pub use memsys::{MemResponse, MemorySystem};
 pub use power::{Component, EnergyBreakdown, PowerMeter};
-pub use stats::{CacheStats, KernelStats, StallBreakdown, StallReason};
+pub use stats::{CacheStats, HostWork, KernelStats, StallBreakdown, StallReason};

@@ -89,10 +89,11 @@ impl GlobalMemory {
     }
 
     /// [`read_u32`](Self::read_u32) for a caller that has already tested
-    /// [`in_bounds`](Self::in_bounds) for a range holding `addr`.
+    /// [`in_bounds`](Self::in_bounds) for a range holding `addr`. The word
+    /// is one slice, so one bounds check, not one per byte.
     pub(crate) fn load_u32(&self, addr: u32) -> u32 {
         let i = addr as usize;
-        u32::from_le_bytes([self.data[i], self.data[i + 1], self.data[i + 2], self.data[i + 3]])
+        u32::from_le_bytes(self.data[i..i + 4].try_into().expect("a 4-byte slice"))
     }
 
     /// [`write_u32`](Self::write_u32) after a passed `in_bounds` test.
@@ -104,7 +105,7 @@ impl GlobalMemory {
     /// [`read_u16`](Self::read_u16) after a passed `in_bounds` test.
     pub(crate) fn load_u16(&self, addr: u32) -> u16 {
         let i = addr as usize;
-        u16::from_le_bytes([self.data[i], self.data[i + 1]])
+        u16::from_le_bytes(self.data[i..i + 2].try_into().expect("a 2-byte slice"))
     }
 
     /// [`write_u16`](Self::write_u16) after a passed `in_bounds` test.
@@ -123,10 +124,8 @@ impl GlobalMemory {
     /// was laid out differently since the recording.
     pub(crate) fn try_read_u32(&self, addr: u32) -> Option<u32> {
         let i = addr as usize;
-        if addr < Self::ALIGN || i + 4 > self.data.len() {
-            return None;
-        }
-        Some(u32::from_le_bytes([self.data[i], self.data[i + 1], self.data[i + 2], self.data[i + 3]]))
+        let word = self.data.get(i..i + 4).filter(|_| addr >= Self::ALIGN)?;
+        Some(u32::from_le_bytes(word.try_into().expect("a 4-byte slice")))
     }
 
     /// Reads a 32-bit word.
@@ -236,6 +235,21 @@ mod tests {
         let _scratch2 = m.alloc(128);
         assert_eq!(m.high_water_bytes(), peak);
         assert!(m.allocated_bytes() < peak);
+    }
+
+    #[test]
+    fn word_reads_stop_at_the_null_page_and_the_end() {
+        let mut m = GlobalMemory::new();
+        let a = m.alloc(8);
+        m.write_u32(a + 4, 0xDEAD_BEEF);
+        assert_eq!(m.try_read_u32(a + 4), Some(0xDEAD_BEEF));
+        assert_eq!((m.load_u32(a + 4), m.load_u16(a + 6)), (0xDEAD_BEEF, 0xDEAD));
+        assert_eq!(m.try_read_u32(0), None);
+        assert_eq!(m.try_read_u32(GlobalMemory::ALIGN - 4), None);
+        let end = m.size_bytes() as u32;
+        assert_eq!(m.try_read_u32(end - 4), Some(0));
+        assert_eq!(m.try_read_u32(end - 3), None);
+        assert_eq!(m.try_read_u32(u32::MAX), None);
     }
 
     #[test]

@@ -20,71 +20,149 @@ pub(crate) struct Scheduler {
     tlv_capacity: usize,
 }
 
-/// Which list a [`Walk`] reads its slots from.
+/// The occupied warp slots of one SM, in the orders the schedulers read.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Residents {
+    /// Occupied slots, oldest first: ages are monotone, so accepts append
+    /// and finishes remove — no sorting in the hot loop.
+    age_order: Vec<usize>,
+    /// Per slot, its index in `age_order` (stale for a vacant slot).
+    rank: Vec<u8>,
+    /// The occupied slots, a bit per slot.
+    mask: u128,
+}
+
+impl Residents {
+    /// Room for `slots` warp slots (at most 128: the mask is a `u128`).
+    pub fn new(slots: usize) -> Self {
+        assert!(slots <= 128, "{slots} warp slots per SM exceed the 128 a slot mask holds");
+        Residents {
+            age_order: Vec::with_capacity(slots),
+            rank: vec![0; slots],
+            mask: 0,
+        }
+    }
+
+    /// A new, youngest warp in `slot`.
+    pub fn add(&mut self, slot: usize) {
+        self.rank[slot] = self.age_order.len() as u8;
+        self.age_order.push(slot);
+        self.mask |= 1 << slot;
+    }
+
+    /// The warp in `slot` left; returns the index it had in the age order.
+    pub fn remove(&mut self, slot: usize) -> usize {
+        let at = self.rank[slot] as usize;
+        self.age_order.remove(at);
+        for (k, &s) in self.age_order.iter().enumerate().skip(at) {
+            self.rank[s] = k as u8;
+        }
+        self.mask &= !(1 << slot);
+        at
+    }
+
+    /// Occupied slots, oldest first.
+    pub fn age_order(&self) -> &[usize] {
+        &self.age_order
+    }
+
+    /// Occupied slots, a bit per slot.
+    pub fn mask(&self) -> u128 {
+        self.mask
+    }
+
+    /// Occupied slots in ascending slot order (the reference orders' LRR
+    /// rotation base; the walk reads the mask instead).
+    pub fn slot_asc(&self) -> Vec<usize> {
+        (0..128).filter(|&s| self.mask & (1 << s) != 0).collect()
+    }
+}
+
+/// Where a [`Walk`]'s positions point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WalkSource {
+    /// Indices into the age order (GTO).
     AgeOrder,
-    SlotAsc,
+    /// Slots themselves (LRR).
+    Slots,
+    /// Indices into the copied order (TLV).
     Buffer,
 }
 
-/// A position in the candidate order of one SM visit. The order is fixed
-/// when the walk starts: issuing moves the scheduler's state, and a warp
-/// that finishes leaves `age_order` and `slot_asc` under the walk — the
-/// rest are still visited once each, in the order they had.
+/// The candidate order of one SM visit, as bit masks of positions still to
+/// visit, lowest first. The order is fixed when the walk starts: issuing
+/// moves the scheduler's state, and a warp that finishes leaves the age
+/// order under the walk — the rest are still visited once each, in the
+/// order they had.
+///
+/// A GTO or LRR walk passes over the *parked* slots it was started with
+/// (warps whose stored stall outlives this cycle), except GTO's greedy
+/// slot: visiting a stalled warp that is not the greedy one changes no
+/// state of those two policies, so the walk would only re-read the stall.
+/// Their positions never enter the masks, so passing over them is free.
 #[derive(Debug)]
 pub(crate) struct Walk {
     source: WalkSource,
-    /// Visited before the list: GTO's greedy slot, which may have been
-    /// vacated since it last issued (the SM passes over vacant slots).
+    /// Visited before the masks: GTO's greedy slot.
     lead: Option<usize>,
-    /// Passed over in the list (the greedy slot again).
-    skip: Option<usize>,
-    /// Index in the list of the next slot.
-    at: usize,
-    /// List entries not yet reached.
-    left: usize,
-    /// Whether the slot visited last would leave the list by finishing.
-    last_in_live_list: bool,
+    /// Positions to visit, lowest first.
+    todo: u128,
+    /// Visited after `todo`: LRR's slots below its rotation point.
+    wrap: u128,
+    /// Slots passed over as parked.
+    parked: u128,
+}
+
+/// The bits below bit `n`.
+fn below(n: usize) -> u128 {
+    if n >= 128 {
+        u128::MAX
+    } else {
+        (1 << n) - 1
+    }
 }
 
 impl Walk {
-    /// The next candidate slot. The lists are the ones the walk was
-    /// started on, less the slots whose warps have finished since.
+    /// The next candidate slot: the order the walk was started on, less
+    /// the slots whose warps have finished since.
     #[inline]
-    pub fn next(&mut self, age_order: &[usize], slot_asc: &[usize], buf: &[usize]) -> Option<usize> {
+    pub fn next(&mut self, residents: &Residents, buf: &[usize]) -> Option<usize> {
         if let Some(slot) = self.lead.take() {
             return Some(slot);
         }
-        let (list, wraps) = match self.source {
-            WalkSource::AgeOrder => (age_order, false),
-            WalkSource::SlotAsc => (slot_asc, true),
-            WalkSource::Buffer => (buf, false),
-        };
-        while self.left > 0 {
-            if self.at >= list.len() {
-                if !wraps || list.is_empty() {
-                    break;
-                }
-                self.at = 0;
-            }
-            let slot = list[self.at];
-            self.at += 1;
-            self.left -= 1;
-            if Some(slot) != self.skip {
-                self.last_in_live_list = self.source != WalkSource::Buffer;
-                return Some(slot);
-            }
+        if self.todo == 0 {
+            self.todo = std::mem::take(&mut self.wrap);
         }
-        None
+        if self.todo == 0 {
+            return None;
+        }
+        let at = self.todo.trailing_zeros() as usize;
+        self.todo &= self.todo - 1;
+        Some(match self.source {
+            WalkSource::AgeOrder => residents.age_order[at],
+            WalkSource::Slots => at,
+            WalkSource::Buffer => buf[at],
+        })
     }
 
-    /// The warp in the slot visited last finished: it has left its list
-    /// and its successor moved into its place.
-    pub fn note_warp_finished(&mut self) {
-        if self.last_in_live_list {
-            self.at -= 1;
+    /// The warp visited last finished, from index `rank` of the age order:
+    /// the warps after it moved up one place.
+    pub fn note_warp_finished(&mut self, rank: usize) {
+        if self.source == WalkSource::AgeOrder {
+            let keep = below(rank);
+            self.todo = (self.todo & keep) | ((self.todo >> 1) & !keep);
         }
+    }
+
+    /// The slots this walk passes over as parked.
+    pub fn parked(&self) -> u128 {
+        self.parked
+    }
+
+    /// Whether the walk names every resident warp (GTO and LRR; TLV's
+    /// order holds at most its active-set capacity).
+    pub fn covers_every_warp(&self) -> bool {
+        self.source != WalkSource::Buffer
     }
 }
 
@@ -100,10 +178,10 @@ impl Scheduler {
         }
     }
 
-    /// Candidate issue order over the occupied warp slots. Allocation- and
-    /// sort-free: `age_order` holds the slots oldest-first, `slot_asc` the
-    /// same slots in ascending slot order (both maintained incrementally
-    /// by the SM). Writes the candidate order into `out`.
+    /// Candidate issue order over the occupied warp slots, copied into
+    /// `out`: `age_order` holds the slots oldest-first, `slot_asc` the
+    /// same slots in ascending slot order. The reference a
+    /// [`walk`](Self::walk) is checked against (and TLV's walk buffer).
     pub fn order_into(&self, age_order: &[usize], slot_asc: &[usize], out: &mut Vec<usize>) {
         out.clear();
         match self.policy {
@@ -120,34 +198,39 @@ impl Scheduler {
                 }
                 out.extend(age_order.iter().copied().filter(|&s| Some(s) != self.gto_current));
             }
-            SchedulerPolicy::Tlv => {
-                out.extend(self.tlv_active.iter().copied().filter(|s| age_order.contains(s)));
-                if out.len() < self.tlv_capacity {
-                    let room = self.tlv_capacity - out.len();
-                    let mut taken = 0;
-                    for &s in age_order {
-                        if taken >= room {
-                            break;
-                        }
-                        if !out.contains(&s) && !self.tlv_suspended.contains(&s) {
-                            out.push(s);
-                            taken += 1;
-                        }
+            SchedulerPolicy::Tlv => self.tlv_order_into(age_order, out),
+        }
+    }
+
+    /// TLV's candidate order: its active set, topped up to capacity with
+    /// the oldest unsuspended warps and then the suspended queue.
+    fn tlv_order_into(&self, age_order: &[usize], out: &mut Vec<usize>) {
+        out.clear();
+        out.extend(self.tlv_active.iter().copied().filter(|s| age_order.contains(s)));
+        if out.len() < self.tlv_capacity {
+            let room = self.tlv_capacity - out.len();
+            let mut taken = 0;
+            for &s in age_order {
+                if taken >= room {
+                    break;
+                }
+                if !out.contains(&s) && !self.tlv_suspended.contains(&s) {
+                    out.push(s);
+                    taken += 1;
+                }
+            }
+            if taken < room {
+                // Suspended warps re-enter in FIFO order; warps that fail
+                // to issue are rotated to the back (see `note_blocked`) so
+                // a barrier-parked warp cannot starve the warps that would
+                // release it.
+                for &s in &self.tlv_suspended {
+                    if taken >= room {
+                        break;
                     }
-                    if taken < room {
-                        // Suspended warps re-enter in FIFO order; warps
-                        // that fail to issue are rotated to the back (see
-                        // `note_blocked`) so a barrier-parked warp cannot
-                        // starve the warps that would release it.
-                        for &s in &self.tlv_suspended {
-                            if taken >= room {
-                                break;
-                            }
-                            if !out.contains(&s) && age_order.contains(&s) {
-                                out.push(s);
-                                taken += 1;
-                            }
-                        }
+                    if !out.contains(&s) && age_order.contains(&s) {
+                        out.push(s);
+                        taken += 1;
                     }
                 }
             }
@@ -155,35 +238,55 @@ impl Scheduler {
     }
 
     /// Starts a walk of the candidate order that [`order_into`](Self::order_into)
-    /// would produce now, without copying it: GTO and LRR are read off the
-    /// SM's own lists as the walk advances. TLV's order depends on more
-    /// than those lists, so it is built into `buf` and walked from there.
-    pub fn walk(&self, age_order: &[usize], slot_asc: &[usize], buf: &mut Vec<usize>) -> Walk {
+    /// would produce now, without copying it: GTO's greedy slot, then the
+    /// age order; LRR's slots from its rotation point round to it again.
+    /// TLV's order depends on more than the residents, so it is built into
+    /// `buf` and walked from there.
+    ///
+    /// `parked` (a bit per slot) names warps whose stall is known to hold
+    /// this cycle. Where a stalled walk is idempotent (GTO, LRR) the walk
+    /// passes over them, GTO's greedy slot excepted; TLV visits them all,
+    /// because visiting a blocked warp rotates its suspended queue.
+    pub fn walk(&self, residents: &Residents, parked: u128, buf: &mut Vec<usize>) -> Walk {
+        let lead = self.gto_current.filter(|&s| residents.mask & (1 << s) != 0);
+        let lead_bit = lead.map_or(0, |s| 1u128 << s);
+        let parked = residents.mask & parked & !lead_bit;
+        let unparked = residents.mask & !parked & !lead_bit;
         let walk = Walk {
             source: WalkSource::Buffer,
             lead: None,
-            skip: None,
-            at: 0,
-            left: 0,
-            last_in_live_list: false,
+            todo: 0,
+            wrap: 0,
+            parked,
         };
         match self.policy {
             SchedulerPolicy::Lrr => Walk {
-                source: WalkSource::SlotAsc,
-                at: slot_asc.partition_point(|&s| s < self.lrr_next),
-                left: slot_asc.len(),
+                source: WalkSource::Slots,
+                todo: unparked & !below(self.lrr_next),
+                wrap: unparked & below(self.lrr_next),
                 ..walk
             },
-            SchedulerPolicy::Gto => Walk {
-                source: WalkSource::AgeOrder,
-                lead: self.gto_current,
-                skip: self.gto_current,
-                left: age_order.len(),
-                ..walk
-            },
+            SchedulerPolicy::Gto => {
+                let mut todo = 0u128;
+                let mut bits = unparked;
+                while bits != 0 {
+                    todo |= 1 << residents.rank[bits.trailing_zeros() as usize];
+                    bits &= bits - 1;
+                }
+                Walk {
+                    source: WalkSource::AgeOrder,
+                    lead,
+                    todo,
+                    ..walk
+                }
+            }
             SchedulerPolicy::Tlv => {
-                self.order_into(age_order, slot_asc, buf);
-                Walk { left: buf.len(), ..walk }
+                self.tlv_order_into(residents.age_order(), buf);
+                Walk {
+                    todo: below(buf.len()),
+                    parked: 0,
+                    ..walk
+                }
             }
         }
     }
@@ -367,6 +470,15 @@ mod tests {
         assert_eq!(order_of(&s, &o), vec![1, 2]);
     }
 
+    /// Residents added in `age_order`, oldest first.
+    fn residents(age_order: &[usize]) -> Residents {
+        let mut r = Residents::new(16);
+        for &slot in age_order {
+            r.add(slot);
+        }
+        r
+    }
+
     #[test]
     fn walk_visits_the_copied_order_while_warps_finish_under_it() {
         // Every policy, every scheduler state a few issues can reach, and
@@ -381,27 +493,52 @@ mod tests {
                 s.note_memory_stall(7);
                 for finisher in slots.iter().map(|&f| Some(f)).chain([None]) {
                     // Oldest-first is some other permutation than slot order.
-                    let mut age_order = vec![5usize, 1, 9, 2, 7, 4];
-                    let mut slot_asc = slots.to_vec();
+                    let mut residents = residents(&[5, 1, 9, 2, 7, 4]);
                     let mut copied = Vec::new();
-                    s.order_into(&age_order, &slot_asc, &mut copied);
+                    s.order_into(residents.age_order(), &residents.slot_asc(), &mut copied);
                     let mut buf = Vec::new();
-                    let mut walk = s.walk(&age_order, &slot_asc, &mut buf);
+                    let mut walk = s.walk(&residents, 0, &mut buf);
                     let mut visited = Vec::new();
-                    while let Some(slot) = walk.next(&age_order, &slot_asc, &buf) {
-                        if !slots.contains(&slot) {
-                            continue; // GTO's greedy slot, vacated: the SM passes over it
-                        }
+                    while let Some(slot) = walk.next(&residents, &buf) {
+                        assert!(residents.mask() & (1 << slot) != 0, "{policy}: vacant slot {slot} visited");
                         visited.push(slot);
                         if Some(slot) == finisher {
-                            age_order.retain(|&x| x != slot);
-                            slot_asc.retain(|&x| x != slot);
-                            walk.note_warp_finished();
+                            let rank = residents.remove(slot);
+                            walk.note_warp_finished(rank);
                         }
                     }
                     assert_eq!(visited, copied, "{policy} after {issued:?}, {finisher:?} finishing");
+                    let ranks: Vec<usize> = residents.age_order().iter().map(|&s| residents.rank[s] as usize).collect();
+                    assert_eq!(ranks, (0..residents.age_order().len()).collect::<Vec<_>>());
                 }
             }
+        }
+    }
+
+    #[test]
+    fn walk_passes_over_parked_slots_except_gtos_greedy_one() {
+        let residents = residents(&[5, 1, 9, 2, 7, 4]);
+        let parked: u128 = (1 << 4) | (1 << 9) | (1 << 5) | (1 << 12); // 12 is vacant
+        for policy in SchedulerPolicy::ALL {
+            let mut s = Scheduler::new(policy, 3);
+            s.note_issue(9);
+            let mut copied = Vec::new();
+            s.order_into(residents.age_order(), &residents.slot_asc(), &mut copied);
+            let mut buf = Vec::new();
+            let mut walk = s.walk(&residents, parked, &mut buf);
+            let visited: Vec<usize> = std::iter::from_fn(|| walk.next(&residents, &buf)).collect();
+            let resident_parked = parked & residents.mask();
+            let (want, passed): (Vec<usize>, u128) = match policy {
+                // Slot 9 is GTO's greedy warp: still visited, first.
+                SchedulerPolicy::Gto => (vec![9, 1, 2, 7], resident_parked & !(1 << 9)),
+                SchedulerPolicy::Lrr => {
+                    let unparked = copied.iter().copied().filter(|&x| parked & (1 << x) == 0);
+                    (unparked.collect(), resident_parked)
+                }
+                SchedulerPolicy::Tlv => (copied.clone(), 0),
+            };
+            assert_eq!(visited, want, "{policy}");
+            assert_eq!(walk.parked(), passed, "{policy}");
         }
     }
 

@@ -10,9 +10,9 @@ use crate::mem::GlobalMemory;
 use crate::memo::MemoRecorder;
 use crate::memsys::MemorySystem;
 use crate::power::{Component, PowerMeter};
-use crate::sched::Scheduler;
-use crate::stats::{StallBreakdown, StallReason};
-use std::collections::BTreeMap;
+use crate::sched::{Residents, Scheduler};
+use crate::stats::{HostWork, StallBreakdown, StallReason};
+use std::collections::{BTreeMap, VecDeque};
 use tango_isa::{AddrSpace, DType, Dim3, FuncUnit, KernelProgram, Opcode};
 
 /// Resident thread-block bookkeeping.
@@ -93,15 +93,23 @@ pub(crate) struct Sm {
     pub(crate) l1d: Option<Cache>,
     warps: Vec<Option<Warp>>,
     ctas: Vec<Option<CtaRt>>,
-    mshr: Vec<u64>,
-    /// Smallest entry of `mshr` (`u64::MAX` when empty): nothing retires
-    /// before it, so the per-visit retain and the throttle hint are O(1).
-    mshr_min: u64,
+    /// Completion cycles of the outstanding misses, earliest first: the
+    /// throttle hint is the front, and a visit retires off the front.
+    mshr: VecDeque<u64>,
     sched: Scheduler,
     sched_block_until: u64,
-    /// Per warp slot, the scoreboard stall last computed for its resident
-    /// warp (see [`Sm::check_issue`]); `NO_STALL` when none is known.
+    /// Per warp slot, the stall last stored for its resident warp (see
+    /// [`Sm::check_issue`]); `NO_STALL` when none is known.
     stall_cache: Vec<(StallReason, u64)>,
+    /// Slots whose stored stall was live when last looked at (bit per
+    /// slot); the ones still live this cycle are *parked*.
+    parked: u128,
+    /// `(ready, slot)` of every stall stored since its ready cycle last
+    /// came round, earliest first: the bits of `parked` expire off its
+    /// front.
+    parked_queue: VecDeque<(u64, usize)>,
+    /// Host-work counts of this SM's visits.
+    pub(crate) work: HostWork,
     /// Set by a zero-issue visit that proved nothing can change for a
     /// while; until `wake`, [`Sm::cycle`] returns without touching a warp.
     sleep: Option<Sleep>,
@@ -109,19 +117,14 @@ pub(crate) struct Sm {
     resident_threads: u32,
     pub(crate) peak_threads: u32,
     /// TLV's candidate order of the current visit (GTO and LRR are walked
-    /// off the two lists below).
+    /// off `residents`).
     order_scratch: Vec<usize>,
     /// Reused buffer for the slots that issued in the current visit.
     issued_scratch: Vec<usize>,
-    /// Occupied warp slots, oldest-first (ages are monotone, so accepts
-    /// append and finishes remove — no sorting in the hot loop).
-    age_order: Vec<usize>,
-    /// Occupied warp slots in ascending slot order (LRR's rotation base).
-    slot_asc: Vec<usize>,
+    /// The occupied warp slots, by age and as a mask.
+    residents: Residents,
     /// Cycles of stall samples owed since the last sampling pass.
     sample_debt: u64,
-    /// Live warp count (`is_active` in O(1)).
-    resident_warps: u32,
     /// The lines the interpreter's last global memory op touched.
     line_scratch: Vec<u32>,
 }
@@ -196,21 +199,21 @@ impl Sm {
             l1d: l1_geometry.map(|g| Cache::new(g, false)),
             warps: (0..warp_slots).map(|_| None).collect(),
             ctas: (0..cta_slots as usize).map(|_| None).collect(),
-            mshr: Vec::new(),
-            mshr_min: u64::MAX,
+            mshr: VecDeque::new(),
             sched: scheduler,
             sched_block_until: 0,
             stall_cache: vec![NO_STALL; warp_slots],
+            parked: 0,
+            parked_queue: VecDeque::new(),
+            work: HostWork::default(),
             sleep: None,
             const_warm: vec![false; param_count],
             resident_threads: 0,
             peak_threads: 0,
             order_scratch: Vec::new(),
             issued_scratch: Vec::new(),
-            age_order: Vec::new(),
-            slot_asc: Vec::new(),
+            residents: Residents::new(warp_slots),
             sample_debt: 0,
-            resident_warps: 0,
             line_scratch: Vec::new(),
         }
     }
@@ -222,7 +225,7 @@ impl Sm {
 
     /// Whether any warp is resident.
     pub fn is_active(&self) -> bool {
-        self.resident_warps > 0
+        self.residents.mask() != 0
     }
 
     /// Installs a CTA and its warps.
@@ -256,11 +259,8 @@ impl Sm {
                 .position(Option::is_none)
                 .expect("warp slots sized for max residency");
             self.warps[slot] = Some(warp);
-            self.stall_cache[slot] = NO_STALL;
-            self.resident_warps += 1;
-            self.age_order.push(slot); // ages are monotone: stays sorted
-            let at = self.slot_asc.partition_point(|&s| s < slot);
-            self.slot_asc.insert(at, slot);
+            self.clear_stall(slot);
+            self.residents.add(slot);
         }
         self.resident_threads += threads;
         self.peak_threads = self.peak_threads.max(self.resident_threads);
@@ -316,9 +316,10 @@ impl Sm {
         None
     }
 
-    /// The structural tail of the issue check: functional-unit ports and
-    /// MSHRs. Never cached — `ports` differs between the issue loop and the
-    /// sampling pass of one cycle, and MSHRs fill as other warps issue.
+    /// The structural tail of the issue check: functional-unit ports, then
+    /// MSHRs. `ports` differs between the issue loop and the sampling pass
+    /// of one cycle, so a `PipeBusy` is never stored; a `MemoryThrottle`
+    /// is (see [`check_issue_fresh`](Self::check_issue_fresh)).
     fn structural(&self, d: &DecodedInst, cycle: u64, ports: &Ports) -> Option<(StallReason, u64)> {
         let busy = match d.unit {
             FuncUnit::Sp => ports.sp >= self.cfg.sp_width,
@@ -330,7 +331,7 @@ impl Sm {
             return Some((StallReason::PipeBusy, cycle + 1));
         }
         if d.is_global_mem && self.mshr.len() >= self.cfg.mshrs {
-            return Some((StallReason::MemoryThrottle, self.mshr_min));
+            return Some((StallReason::MemoryThrottle, self.mshr_min()));
         }
         None
     }
@@ -340,27 +341,46 @@ impl Sm {
     /// the blocking condition can clear (`u64::MAX` for event-driven
     /// conditions like barriers, whose release is another warp's progress).
     ///
-    /// A scoreboard stall is stored per slot and answered from the store
-    /// until its ready cycle, before the warp itself is looked at;
-    /// [`issue`](Self::issue) and [`accept_cta`](Self::accept_cta) clear
-    /// it. A warp reaches a barrier by issuing `bar` and stores nothing
-    /// while it waits there, so a live entry is never a parked warp's.
+    /// A scoreboard stall or an MSHR throttle is stored per slot and
+    /// answered from the store until its ready cycle, before the warp
+    /// itself is looked at; [`issue`](Self::issue) and
+    /// [`accept_cta`](Self::accept_cta) clear it. A warp reaches a barrier
+    /// by issuing `bar` and stores nothing while it waits there, so a live
+    /// entry is never a barrier-parked warp's.
     #[inline(always)]
     fn check_issue(&mut self, slot: usize, env: &SmEnv<'_>, ports: &Ports) -> Option<(StallReason, u64)> {
-        let cached = self.stall_cache[slot];
-        if env.cycle < cached.1 {
+        let stored = self.stall_cache[slot];
+        if env.cycle < stored.1 {
+            let answer = self.stored_answer(stored, env.cycle, ports);
             debug_assert_eq!(
-                self.check_issue_uncached(slot, env, &Ports::default()),
-                Some(cached),
-                "stale stall cache, slot {slot}"
+                self.check_issue_uncached(slot, env, ports),
+                Some(answer),
+                "stale stall cache, slot {slot} at cycle {}",
+                env.cycle
             );
-            return Some(cached);
+            return Some(answer);
         }
         self.check_issue_fresh(slot, env, ports)
     }
 
+    /// A live stored stall as this cycle's answer. The port test runs
+    /// before the MSHR test, so a throttled warp whose LdSt ports filled
+    /// earlier in the cycle is `PipeBusy`, as an unstored check finds.
+    #[inline(always)]
+    fn stored_answer(&self, stored: (StallReason, u64), cycle: u64, ports: &Ports) -> (StallReason, u64) {
+        if stored.0 == StallReason::MemoryThrottle && ports.ldst >= self.cfg.ldst_width {
+            (StallReason::PipeBusy, cycle + 1)
+        } else {
+            stored
+        }
+    }
+
     /// [`check_issue`](Self::check_issue) past the stall store: looks at
-    /// the warp, and stores the scoreboard stall it finds.
+    /// the warp, and stores the scoreboard stall or MSHR throttle it
+    /// finds. A throttle holds until the first MSHR retires: full MSHRs
+    /// take no new entry (every global access tests the throttle first)
+    /// and none retires before then, so the test and its hint stay the
+    /// same.
     fn check_issue_fresh(&mut self, slot: usize, env: &SmEnv<'_>, ports: &Ports) -> Option<(StallReason, u64)> {
         let warp = self.warps[slot].as_ref().expect("checked occupied");
         if warp.at_barrier {
@@ -368,14 +388,22 @@ impl Sm {
         }
         let d = &env.decoded[warp.pc() as usize];
         if let Some(stall) = Self::scoreboard(warp, d, env.cycle) {
-            self.stall_cache[slot] = stall;
+            self.work.fresh_scoreboard += 1;
+            self.store_stall(slot, stall);
             return Some(stall);
         }
-        self.structural(d, env.cycle, ports)
+        let stall = self.structural(d, env.cycle, ports)?;
+        if stall.0 == StallReason::MemoryThrottle {
+            self.work.fresh_throttle += 1;
+            self.store_stall(slot, stall);
+        } else {
+            self.work.fresh_pipe_busy += 1;
+        }
+        Some(stall)
     }
 
-    /// [`check_issue`](Self::check_issue) without the stall cache: the
-    /// reference the debug-build sleep oracle classifies against.
+    /// [`check_issue`](Self::check_issue) without the stall store: the
+    /// reference the debug-build oracles classify against.
     fn check_issue_uncached(&self, slot: usize, env: &SmEnv<'_>, ports: &Ports) -> Option<(StallReason, u64)> {
         let warp = self.warps[slot].as_ref().expect("checked occupied");
         if warp.at_barrier {
@@ -385,14 +413,47 @@ impl Sm {
         Self::scoreboard(warp, d, env.cycle).or_else(|| self.structural(d, env.cycle, ports))
     }
 
+    /// Stores `stall` (whose ready cycle is past the current one) for the
+    /// warp in `slot`, which parks it.
+    fn store_stall(&mut self, slot: usize, stall: (StallReason, u64)) {
+        self.stall_cache[slot] = stall;
+        self.parked |= 1 << slot;
+        insert_sorted(&mut self.parked_queue, (stall.1, slot), |&(ready, _)| ready);
+    }
+
+    /// Forgets the stall stored for `slot`.
+    fn clear_stall(&mut self, slot: usize) {
+        self.stall_cache[slot] = NO_STALL;
+        self.parked &= !(1 << slot);
+    }
+
+    /// The parked set at `cycle`: drops the bits whose stall has expired,
+    /// in O(1) per expired stall.
+    fn parked_at(&mut self, cycle: u64) -> u128 {
+        while let Some(&(ready, slot)) = self.parked_queue.front() {
+            if ready > cycle {
+                break;
+            }
+            self.parked_queue.pop_front();
+            // The slot may hold a later stall, stored by a census pass
+            // after this one expired; that one keeps the bit.
+            if self.stall_cache[slot].1 <= cycle {
+                self.parked &= !(1 << slot);
+            }
+        }
+        self.parked
+    }
+
     /// Issues one warp-instruction: functional execution, timing update,
     /// cache traffic, and energy charges.
     ///
     /// The warp is worked on where it lives; its slot is vacated only when
-    /// it finishes.
-    fn issue(&mut self, slot: usize, env: &mut SmEnv<'_>, ports: &mut Ports) {
+    /// it finishes, and then `issue` returns the index the warp had in the
+    /// age order.
+    fn issue(&mut self, slot: usize, env: &mut SmEnv<'_>, ports: &mut Ports) -> Option<usize> {
+        self.clear_stall(slot);
+        self.work.issues += 1;
         let warp = self.warps[slot].as_mut().expect("checked occupied");
-        self.stall_cache[slot] = NO_STALL;
         let decoded = env.decoded;
         let d = &decoded[warp.pc() as usize];
         let op = d.op;
@@ -484,8 +545,7 @@ impl Sm {
                                 env.meter.charge_nj(Component::Dramp, p.dram_nj);
                             }
                             completion = completion.max(resp.completion_cycle);
-                            self.mshr.push(resp.completion_cycle);
-                            self.mshr_min = self.mshr_min.min(resp.completion_cycle);
+                            insert_sorted(&mut self.mshr, resp.completion_cycle, |&c| c);
                         }
                     }
                     if let Some(dr) = dst {
@@ -542,13 +602,11 @@ impl Sm {
         }
 
         let finished = out.warp_finished;
-        if finished {
+        let rank = finished.then(|| {
             self.sched.note_warp_finished(slot);
-            self.resident_warps -= 1;
-            self.age_order.retain(|&s| s != slot);
-            self.slot_asc.retain(|&s| s != slot);
             self.warps[slot] = None;
-        }
+            self.residents.remove(slot)
+        });
 
         if out.did_barrier || finished {
             let cta = self.ctas[cta_slot].as_mut().expect("cta resident");
@@ -568,6 +626,7 @@ impl Sm {
                 self.resident_threads -= cta.threads;
             }
         }
+        rank
     }
 
     fn maybe_release_barrier(&mut self, cta_slot: usize) {
@@ -585,13 +644,18 @@ impl Sm {
         }
     }
 
-    /// Drops the MSHR entries that completed by `cycle`; O(1) when none did.
+    /// Drops the MSHR entries that completed by `cycle`; O(1) per entry.
     fn retire_mshrs(&mut self, cycle: u64) {
-        if self.mshr_min <= cycle {
-            self.mshr.retain(|&c| c > cycle);
-            self.mshr_min = self.mshr.iter().copied().min().unwrap_or(u64::MAX);
+        while self.mshr.front().is_some_and(|&c| c <= cycle) {
+            self.mshr.pop_front();
         }
-        debug_assert_eq!(self.mshr_min, self.mshr.iter().copied().min().unwrap_or(u64::MAX));
+        debug_assert!(self.mshr.iter().is_sorted());
+    }
+
+    /// The cycle the first outstanding miss completes (`u64::MAX` when
+    /// none is): nothing retires before it.
+    fn mshr_min(&self) -> u64 {
+        self.mshr.front().copied().unwrap_or(u64::MAX)
     }
 
     /// Runs one cycle. `env.weight` is the number of machine cycles this
@@ -643,39 +707,42 @@ impl Sm {
         let mut issued_slots = std::mem::take(&mut self.issued_scratch);
         issued_slots.clear();
         let mut next_event = u64::MAX;
+        // A zero-issue visit's census and hint, when its walk saw every warp.
+        let mut walked = None;
 
         if cycle >= self.sched_block_until {
-            let mut walk = self.sched.walk(&self.age_order, &self.slot_asc, &mut self.order_scratch);
+            let parked = self.parked_at(cycle);
+            let mut walk = self.sched.walk(&self.residents, parked, &mut self.order_scratch);
             // Debug-build oracle: the walk visits the copied order, less
-            // the warps that finished under it.
+            // the warps that finished under it and the parked ones it
+            // passes over.
             let mut expected = Vec::new();
             if cfg!(debug_assertions) {
-                self.sched.order_into(&self.age_order, &self.slot_asc, &mut expected);
+                self.sched.order_into(self.residents.age_order(), &self.residents.slot_asc(), &mut expected);
                 expected.reverse();
             }
+            let mut census = StallBreakdown::new();
+            let mut census_next = u64::MAX;
             while issued_slots.len() < self.cfg.issue_width as usize {
-                let Some(slot) = walk.next(&self.age_order, &self.slot_asc, &self.order_scratch) else {
+                let Some(slot) = walk.next(&self.residents, &self.order_scratch) else {
                     break;
                 };
-                // A vacant slot holds `NO_STALL`, so the stored-stall test
-                // (which comes first in `check_issue`) cannot speak for it.
-                if cycle >= self.stall_cache[slot].1 && self.warps[slot].is_none() {
-                    continue; // named by TLV's copied order or as GTO's greedy slot
-                }
                 if cfg!(debug_assertions) {
-                    let copied = std::iter::from_fn(|| expected.pop()).find(|&s| self.warps[s].is_some());
+                    let copied = self.next_copied(&mut expected, walk.parked(), env, &ports);
                     assert_eq!(copied, Some(slot), "in-place walk left the scheduler's order at cycle {cycle}");
                 }
+                self.work.walk_checks += 1;
                 match self.check_issue(slot, env, &ports) {
                     None => {
-                        self.issue(slot, env, &mut ports);
-                        if self.warps[slot].is_none() {
-                            walk.note_warp_finished();
+                        if let Some(rank) = self.issue(slot, env, &mut ports) {
+                            walk.note_warp_finished(rank);
                         }
                         issued_slots.push(slot);
                         self.sched.note_issue(slot);
                     }
-                    Some((reason, _hint)) => {
+                    Some((reason, hint)) => {
+                        census.record(reason);
+                        census_next = census_next.min(hint.max(cycle + 1));
                         // Long-latency stalls (memory, barriers) force GTO/
                         // TLV to move the warp between queues; barriers in
                         // particular MUST leave TLV's active set or the
@@ -686,6 +753,23 @@ impl Sm {
                         self.sched.note_blocked(slot);
                     }
                 }
+            }
+            if cfg!(debug_assertions) && issued_slots.len() < self.cfg.issue_width as usize {
+                let rest = self.next_copied(&mut expected, walk.parked(), env, &ports);
+                assert_eq!(rest, None, "in-place walk stopped short of the scheduler's order at cycle {cycle}");
+            }
+            if issued_slots.is_empty() && walk.covers_every_warp() {
+                // Nothing issued, so the ports stayed empty: the walk's
+                // classifications plus the stored stalls of the parked
+                // warps it passed over are what a census pass would find.
+                let mut bits = walk.parked();
+                while bits != 0 {
+                    let (reason, ready) = self.stall_cache[bits.trailing_zeros() as usize];
+                    bits &= bits - 1;
+                    census.record(reason);
+                    census_next = census_next.min(ready);
+                }
+                walked = Some((census, census_next));
             }
         } else {
             next_event = next_event.min(self.sched_block_until);
@@ -700,18 +784,8 @@ impl Sm {
         if need_hints || self.sample_debt >= SAMPLE_PERIOD {
             let weight = self.sample_debt;
             self.sample_debt = 0;
-            let mut census = StallBreakdown::new();
-            for i in 0..self.age_order.len() {
-                let slot = self.age_order[i];
-                if issued_slots.contains(&slot) {
-                    continue;
-                }
-                let (reason, hint) = self
-                    .check_issue(slot, env, &ports)
-                    .unwrap_or((StallReason::NotSelected, cycle + 1));
-                census.record(reason);
-                next_event = next_event.min(hint.max(cycle + 1));
-            }
+            let (census, census_next) = walked.unwrap_or_else(|| self.census(env, &ports, &issued_slots));
+            next_event = next_event.min(census_next);
             env.agg.stalls.merge_weighted(&census, weight);
             // Nothing issued and nothing can before `next_event`: the
             // visits in between would repeat this one. Only a scheduler
@@ -732,6 +806,72 @@ impl Sm {
         (self.is_active(), next_event)
     }
 
+    /// Classifies every resident warp that did not issue this visit:
+    /// the stall census and the least next-event hint.
+    fn census(&mut self, env: &SmEnv<'_>, ports: &Ports, issued: &[usize]) -> (StallBreakdown, u64) {
+        let cycle = env.cycle;
+        let mut census = StallBreakdown::new();
+        let mut next_event = u64::MAX;
+        for i in 0..self.residents.age_order().len() {
+            let slot = self.residents.age_order()[i];
+            if issued.contains(&slot) {
+                continue;
+            }
+            self.work.census_checks += 1;
+            let (reason, hint) = self
+                .check_issue(slot, env, ports)
+                .unwrap_or((StallReason::NotSelected, cycle + 1));
+            census.record(reason);
+            next_event = next_event.min(hint.max(cycle + 1));
+        }
+        (census, next_event)
+    }
+
+    /// If this SM is asleep at `at`, the hint a visit at `at` returns:
+    /// every visit at a cycle in `at..hint` returns `(true, hint)` and
+    /// changes nothing, so the launch loop need not make it. A requeue
+    /// penalty still running bounds the hint (see [`Sm::cycle`]).
+    pub fn slept_hint(&self, at: u64) -> Option<u64> {
+        let sleep = self.sleep.as_ref().filter(|sleep| at < sleep.wake)?;
+        Some(if at < self.sched_block_until {
+            sleep.wake.min(self.sched_block_until)
+        } else {
+            sleep.wake
+        })
+    }
+
+    /// Debug-build oracle for the parked walk: pops the copied candidate
+    /// order up to the next warp the walk must visit. Warps that finished
+    /// under the walk are dropped. A parked warp the walk passes over must
+    /// still stand on its stored stall, and visiting it must leave the
+    /// scheduler as it is — so the list walk would have issued exactly
+    /// the slots the parked walk issues.
+    fn next_copied(&self, expected: &mut Vec<usize>, parked: u128, env: &SmEnv<'_>, ports: &Ports) -> Option<usize> {
+        let cycle = env.cycle;
+        while let Some(slot) = expected.pop() {
+            if self.warps[slot].is_none() {
+                continue;
+            }
+            if parked & (1 << slot) == 0 {
+                return Some(slot);
+            }
+            let stored = self.stored_answer(self.stall_cache[slot], cycle, ports);
+            assert_eq!(
+                self.check_issue_uncached(slot, env, ports),
+                Some(stored),
+                "parked warp in slot {slot} left its stored stall at cycle {cycle}"
+            );
+            let mut sched = self.sched.clone();
+            let requeues = is_long_latency(stored.0) && sched.note_memory_stall(slot);
+            sched.note_blocked(slot);
+            assert!(
+                !requeues && sched == self.sched,
+                "passing over parked slot {slot} moved the scheduler at cycle {cycle}"
+            );
+        }
+        None
+    }
+
     /// Debug-build oracle for a slept visit: classifying every resident
     /// warp without the stall cache must reproduce the stored census and
     /// the returned hint, and the issue walk the visit skipped must leave
@@ -745,7 +885,7 @@ impl Sm {
         } else {
             u64::MAX
         };
-        for &slot in &self.age_order {
+        for &slot in self.residents.age_order() {
             let (reason, warp_hint) = self
                 .check_issue_uncached(slot, env, &ports)
                 .unwrap_or_else(|| panic!("slot {slot} can issue at cycle {cycle} inside a sleep"));
@@ -757,7 +897,7 @@ impl Sm {
         if cycle >= self.sched_block_until {
             let mut sched = self.sched.clone();
             let mut order = Vec::new();
-            sched.order_into(&self.age_order, &self.slot_asc, &mut order);
+            sched.order_into(self.residents.age_order(), &self.residents.slot_asc(), &mut order);
             for &slot in &order {
                 let (reason, _) = self.check_issue_uncached(slot, env, &ports).expect("classified above");
                 assert!(
@@ -769,6 +909,18 @@ impl Sm {
             assert_eq!(sched, self.sched, "skipped walk would move the scheduler at cycle {cycle}");
         }
     }
+}
+
+/// Inserts `item` into `queue`, kept in ascending order of `key`, after
+/// the items of an equal key. A new item tends to be the latest, so the
+/// search starts at the back.
+fn insert_sorted<T>(queue: &mut VecDeque<T>, item: T, key: impl Fn(&T) -> u64) {
+    let k = key(&item);
+    let mut at = queue.len();
+    while at > 0 && key(&queue[at - 1]) > k {
+        at -= 1;
+    }
+    queue.insert(at, item);
 }
 
 /// Stalls that make GTO/TLV requeue the warp.
@@ -784,7 +936,13 @@ impl Sm {
     pub fn debug_state(&self, cycle: u64, program: &KernelProgram) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let _ = write!(out, "age_order={:?} {} block_until={} ", self.age_order, self.sched.debug_tlv(), self.sched_block_until);
+        let _ = write!(
+            out,
+            "age_order={:?} {} block_until={} ",
+            self.residents.age_order(),
+            self.sched.debug_tlv(),
+            self.sched_block_until
+        );
         for (slot, w) in self.warps.iter().enumerate() {
             if let Some(w) = w.as_ref() {
                 let pc = w.pc() as usize;
@@ -818,9 +976,10 @@ mod tests {
     use crate::decode::decode_program;
     use tango_isa::KernelBuilder;
 
-    /// One visit of `sm` at `cycle` representing `weight` machine cycles.
-    fn visit(sm: &mut Sm, world: &mut World, cycle: u64, weight: u64) -> (bool, u64) {
-        let mut env = SmEnv {
+    /// The environment of a visit at `cycle` representing `weight`
+    /// machine cycles.
+    fn env(world: &mut World, cycle: u64, weight: u64) -> SmEnv<'_> {
+        SmEnv {
             cycle,
             weight,
             mem: &mut world.mem,
@@ -832,8 +991,12 @@ mod tests {
             tid_rows: &world.tid_rows,
             line_bytes: 128,
             rec: None,
-        };
-        sm.cycle(&mut env)
+        }
+    }
+
+    /// One visit of `sm` at `cycle` representing `weight` machine cycles.
+    fn visit(sm: &mut Sm, world: &mut World, cycle: u64, weight: u64) -> (bool, u64) {
+        sm.cycle(&mut env(world, cycle, weight))
     }
 
     struct World {
@@ -854,7 +1017,10 @@ mod tests {
         let base = b.load_param(0);
         b.st_global(DType::U32, base, 0, base);
         b.exit();
-        let program = b.build().unwrap();
+        world_of(config, b.build().unwrap())
+    }
+
+    fn world_of(config: &GpuConfig, program: KernelProgram) -> World {
         let mut mem = GlobalMemory::new();
         let buf = mem.alloc(128);
         World {
@@ -905,5 +1071,41 @@ mod tests {
         assert!(sm.sleep.is_none());
         assert_eq!(world.agg.warp_instructions, issued + 1);
         assert_eq!(const_dep(&world), before + 3);
+    }
+
+    #[test]
+    fn a_stored_throttle_yields_to_full_ports_and_expires_when_the_first_mshr_retires() {
+        // The warp's first instruction is a global store, ready at once.
+        let mut b = KernelBuilder::new("store_first");
+        let r = b.reg();
+        b.st_global(DType::U32, r, 0, r);
+        b.exit();
+        let config = GpuConfig::gp102();
+        let mut world = world_of(&config, b.build().unwrap());
+        let mut sm = Sm::new(&config, None, 1, 1, 1, Scheduler::new(SchedulerPolicy::Gto, 6));
+        sm.accept_cta([0, 0, 0], &world.program, Dim3::x(32), 0);
+        // Every MSHR is taken; the first one retires at cycle 50.
+        sm.mshr = (0..config.mshrs_per_sm).map(|i| if i == 0 { 50 } else { 80 }).collect();
+        let idle = Ports::default();
+        let full = Ports {
+            ldst: config.ldst_width,
+            ..Ports::default()
+        };
+        let throttle = Some((StallReason::MemoryThrottle, 50));
+
+        assert_eq!(sm.check_issue(0, &env(&mut world, 10, 1), &idle), throttle);
+        assert_eq!((sm.work.fresh_throttle, sm.parked_at(10)), (1, 1));
+        // Stored: LdSt ports that filled earlier in the cycle come first,
+        // as in an unstored check; otherwise the throttle holds to cycle 49.
+        assert_eq!(
+            sm.check_issue(0, &env(&mut world, 20, 1), &full),
+            Some((StallReason::PipeBusy, 21))
+        );
+        assert_eq!(sm.check_issue(0, &env(&mut world, 49, 1), &idle), throttle);
+        assert_eq!((sm.work.fresh_throttle, sm.work.fresh_pipe_busy, sm.parked_at(49)), (1, 0, 1));
+        // At 50 the first MSHR retires and the store has expired with it.
+        sm.retire_mshrs(50);
+        assert_eq!(sm.parked_at(50), 0);
+        assert_eq!(sm.check_issue(0, &env(&mut world, 50, 1), &idle), None);
     }
 }

@@ -154,6 +154,62 @@ impl StallBreakdown {
     }
 }
 
+/// What the simulator itself did to run its launches: exact counts of
+/// the issue stage's host work, not of the simulated GPU's. They repeat
+/// run to run, so a change to the issue stage can be judged by them where
+/// wall clock is too noisy. A [`Gpu`](crate::Gpu) sums them over the
+/// launches it completes ([`Gpu::host_work`](crate::Gpu::host_work));
+/// they are not part of [`KernelStats`] and no digest covers them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HostWork {
+    /// Visits of an SM (`Sm::cycle` calls).
+    pub sm_calls: u64,
+    /// Visits the launch loop left out because the SM was asleep and
+    /// would only have repeated its wake-up hint.
+    pub quiet_skips: u64,
+    /// Issue checks made by the scheduler walks.
+    pub walk_checks: u64,
+    /// Issue checks that looked at the warp and found a scoreboard stall.
+    pub fresh_scoreboard: u64,
+    /// Issue checks that looked at the warp and found the MSHRs full.
+    pub fresh_throttle: u64,
+    /// Issue checks that looked at the warp and found its unit's issue
+    /// ports taken.
+    pub fresh_pipe_busy: u64,
+    /// Issue checks made by the stall-sampling census.
+    pub census_checks: u64,
+    /// Warp-instructions issued.
+    pub issues: u64,
+}
+
+impl HostWork {
+    /// Every count by name, in declaration order.
+    pub fn fields(&self) -> [(&'static str, u64); 8] {
+        [
+            ("sm_calls", self.sm_calls),
+            ("quiet_skips", self.quiet_skips),
+            ("walk_checks", self.walk_checks),
+            ("fresh_scoreboard", self.fresh_scoreboard),
+            ("fresh_throttle", self.fresh_throttle),
+            ("fresh_pipe_busy", self.fresh_pipe_busy),
+            ("census_checks", self.census_checks),
+            ("issues", self.issues),
+        ]
+    }
+
+    /// Adds `other`'s counts to these.
+    pub fn merge(&mut self, other: &HostWork) {
+        self.sm_calls += other.sm_calls;
+        self.quiet_skips += other.quiet_skips;
+        self.walk_checks += other.walk_checks;
+        self.fresh_scoreboard += other.fresh_scoreboard;
+        self.fresh_throttle += other.fresh_throttle;
+        self.fresh_pipe_busy += other.fresh_pipe_busy;
+        self.census_checks += other.census_checks;
+        self.issues += other.issues;
+    }
+}
+
 /// Hit/miss counters for one cache level.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
