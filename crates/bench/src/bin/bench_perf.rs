@@ -29,7 +29,7 @@
 //!   `*_wall_s` the wall per replay, `*_completed`/`*_shed` those of one
 //!   replay (every repeat is the same deterministic replay).
 //!   `report_bytes_per_request` and `trace_bytes_per_request` are the
-//!   heap bytes one report owns and the bytes of the trace's records,
+//!   heap bytes one report owns and the heap bytes of the trace's words,
 //!   per request, the largest over the leg's replays: exact counts that
 //!   repeat run to run.
 //! * `results/bench_history.jsonl` — one appended line per run with the
@@ -158,7 +158,7 @@ fn serve_leg(kinds: &[NetworkKind], preset: Preset, workers: usize) -> tango_ser
             },
         };
         let (report, wall_s) = timed_replays(1, || run_trace(&trace, &config, &cost))?;
-        footprint.add(report.heap_bytes(), size_of_val(trace.arrivals()), trace.len());
+        footprint.add(report.heap_bytes(), trace.heap_bytes(), trace.len());
         let key = kind.name().to_ascii_lowercase();
         obj = obj
             .int(&format!("{key}_completed"), report.completed() as u64)
@@ -241,7 +241,7 @@ fn fleet_leg() -> tango_serve::Result<JsonObject> {
             }),
         };
         let (report, wall_s) = timed_replays(1, || run_fleet(&trace, &config, &costs))?;
-        footprint.add(report.heap_bytes(), size_of_val(trace.requests()), trace.len());
+        footprint.add(report.heap_bytes(), trace.heap_bytes(), trace.len());
         total_completed += report.completed() as u64;
         total_wall_s += wall_s;
         let key = policy.name();

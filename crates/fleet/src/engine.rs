@@ -17,11 +17,11 @@ use crate::config::FleetConfig;
 use crate::cost::FleetCost;
 use crate::metrics::{emit_alert_instants, FleetMetrics, FleetMetricsConfig, FleetMetricsReport};
 use crate::router::{Placement, PoolView, Router, ShedReason};
-use crate::trace::FleetTrace;
+use crate::trace::{unpack, FleetTrace};
 use std::collections::VecDeque;
 use std::mem::size_of;
 use tango_obs::{Domain, Phase};
-use tango_serve::{BatchCost, CostTable, DeviceSet, KindIndex, LatencySummary, Result, ServeError};
+use tango_serve::{BatchCost, CostTable, DeviceSet, LatencySummary, Result, ServeError};
 
 /// What became of a run's requests, one column per priority class.
 ///
@@ -339,20 +339,19 @@ fn run_fleet_inner(
     }
     let kinds = trace.kinds();
     let nk = kinds.len();
-    let kind_index = KindIndex::new(kinds);
     let batching = Batching {
         max_batch: config.max_batch as usize,
         max_delay_ns: config.max_delay_ns,
         kinds: nk,
     };
 
-    let requests = trace.requests();
+    let requests = trace.words();
     // Each class's column is sized to its share of the trace, so the
     // columns together hold one slot per request and never regrow.
     let classes = config.classes.len();
     let mut per_class = vec![0usize; classes];
-    for req in requests {
-        per_class[req.class as usize] += 1;
+    for &word in requests {
+        per_class[unpack(word).1] += 1;
     }
     let mut outcomes = ClassOutcomes {
         latencies: per_class.into_iter().map(Vec::with_capacity).collect(),
@@ -466,14 +465,15 @@ fn run_fleet_inner(
         }
 
         // 3. Admit (or shed) every arrival due by `now`, trace order.
-        while next_arrival < requests.len() && requests[next_arrival].at_ns <= now {
-            let req = &requests[next_arrival];
-            let k = kind_index.get(req.kind).expect("a trace holds only its own kinds");
-            let class = req.class as usize;
+        while let Some(&word) = requests.get(next_arrival) {
+            let (at_ns, class, k) = unpack(word);
+            if at_ns > now {
+                break;
+            }
             // Snapshot the fleet for the router.
             views.clear();
             for (i, p) in pools.iter().enumerate() {
-                let svc = cost_table.get(i * nk + k, 1, || costs[i].batch_cost(req.kind, 1))?.ns;
+                let svc = cost_table.get(i * nk + k, 1, || costs[i].batch_cost(kinds[k], 1))?.ns;
                 let next_free = if p.devices.idle() > 0 {
                     0
                 } else {
@@ -489,7 +489,7 @@ fn run_fleet_inner(
             }
             let slo = config.classes[class].slo_ns;
             if let Some(m) = metrics.as_deref_mut() {
-                m.on_arrival(req.at_ns, class);
+                m.on_arrival(at_ns, class);
             }
             match router.place(&views, config.queue_bound, slo) {
                 Placement::Pool(i) => {
@@ -500,7 +500,7 @@ fn run_fleet_inner(
                     let column = &mut outcomes.latencies[class];
                     let item = Queued {
                         slot: column.len(),
-                        at_ns: req.at_ns,
+                        at_ns,
                     };
                     column.push(0);
                     p.enqueue(class * nk + k, item, &batching);
@@ -609,8 +609,8 @@ fn run_fleet_inner(
         //    evaluations alone must not keep a finished simulation
         //    alive).
         let mut next = u64::MAX;
-        if next_arrival < requests.len() {
-            next = next.min(requests[next_arrival].at_ns);
+        if let Some(&word) = requests.get(next_arrival) {
+            next = next.min(unpack(word).0);
         }
         for p in &pools {
             if let Some(done_at) = p.devices.next_completion() {
@@ -661,6 +661,7 @@ fn run_fleet_inner(
 #[cfg(test)]
 mod reference {
     use super::*;
+    use crate::trace::FleetRequest;
     use std::collections::BTreeMap;
     use tango_nets::NetworkKind;
 
@@ -754,7 +755,7 @@ mod reference {
                 .expect("trace request kind not in trace.kinds()")
         };
 
-        let requests = trace.requests();
+        let requests: Vec<FleetRequest> = trace.iter().collect();
         let mut records: Vec<FleetRecord> = requests
             .iter()
             .map(|r| FleetRecord {

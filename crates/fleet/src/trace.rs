@@ -16,7 +16,7 @@ use tango_nets::NetworkKind;
 use tango_serve::KindIndex;
 use tango_tensor::SplitMix64;
 
-/// One fleet request.
+/// One fleet request, as [`FleetTrace::get`] decodes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetRequest {
     /// Arrival time in virtual nanoseconds.
@@ -29,14 +29,44 @@ pub struct FleetRequest {
     pub class: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<FleetRequest>() == 16);
+/// Bits of a trace word below its arrival time: a class index over a
+/// kind index, 8 bits each.
+const INDEX_BITS: u32 = 16;
+/// Kinds, and classes, a trace can index.
+const MAX_INDEX: usize = 1 << 8;
+/// First arrival nanosecond a trace word cannot hold (~78 h).
+const NS_LIMIT: u64 = 1 << (64 - INDEX_BITS);
+
+/// Packs a request into its trace word: `at_ns << 16 | class << 8 | kind`.
+fn pack(at_ns: u64, class: usize, kind: usize) -> u64 {
+    at_ns << INDEX_BITS | (class << 8 | kind) as u64
+}
+
+/// A trace word's arrival nanosecond, class index and kind index.
+#[inline]
+pub(crate) fn unpack(word: u64) -> (u64, usize, usize) {
+    (word >> INDEX_BITS, (word >> 8 & 0xff) as usize, (word & 0xff) as usize)
+}
+
+/// Checks the limits a trace word holds: at most 256 kinds and 256
+/// classes, and a last arrival (the latest, the trace being sorted)
+/// below 2^48 ns.
+fn check_limits(kinds: usize, classes: usize, last_ns: u64) {
+    assert!(kinds <= MAX_INDEX, "a trace holds at most 256 network kinds");
+    assert!(classes <= MAX_INDEX, "a trace holds at most 256 classes");
+    assert!(last_ns < NS_LIMIT, "arrival times must be below 2^48 ns");
+}
 
 /// A pre-generated, time-sorted request stream.
+///
+/// Each request is one 8-byte word, `at_ns << 16 | class << 8 | kind
+/// index`, whose kind index points into [`kinds`](Self::kinds) (at a
+/// kind's first occurrence there).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetTrace {
     kinds: Vec<NetworkKind>,
     classes: usize,
-    requests: Vec<FleetRequest>,
+    words: Vec<u64>,
 }
 
 /// Thinning-based non-homogeneous Poisson sampler: candidate arrivals
@@ -70,7 +100,8 @@ impl FleetTrace {
     /// # Panics
     ///
     /// Panics on empty `kinds`/`classes`, zero `peak_gap_ns` or
-    /// `period_ns`, or `trough_fraction` outside `[0, 1]`.
+    /// `period_ns`, `trough_fraction` outside `[0, 1]`, more than 256
+    /// kinds or classes, or a last arrival at or past 2^48 ns.
     pub fn diurnal(
         kinds: &[NetworkKind],
         classes: &[ClassSpec],
@@ -104,7 +135,9 @@ impl FleetTrace {
     ///
     /// # Panics
     ///
-    /// Panics on empty `kinds`/`classes` or zero gaps/periods/factor.
+    /// Panics on empty `kinds`/`classes`, zero gaps/periods/factor,
+    /// more than 256 kinds or classes, or a last arrival at or past
+    /// 2^48 ns.
     #[allow(clippy::too_many_arguments)]
     pub fn bursty(
         kinds: &[NetworkKind],
@@ -139,18 +172,21 @@ impl FleetTrace {
     }
 
     fn assemble(kinds: &[NetworkKind], classes: usize, times: Vec<u64>, rng: &mut SplitMix64) -> Self {
-        let requests = times
+        check_limits(kinds.len(), classes, times.last().map_or(0, |&t| t));
+        let index = KindIndex::new(kinds);
+        let slot: Vec<usize> = kinds.iter().map(|&k| index.get(k).expect("indexed")).collect();
+        // Each time becomes its word in place: the stream is allocated once.
+        let words = times
             .into_iter()
-            .map(|at_ns| FleetRequest {
-                at_ns,
-                kind: kinds[rng.below(kinds.len() as u64) as usize],
-                class: rng.below(classes as u64) as u32,
+            .map(|at_ns| {
+                let kind = slot[rng.below(kinds.len() as u64) as usize];
+                pack(at_ns, rng.below(classes as u64) as usize, kind)
             })
             .collect();
         FleetTrace {
             kinds: kinds.to_vec(),
             classes,
-            requests,
+            words,
         }
     }
 
@@ -159,26 +195,29 @@ impl FleetTrace {
     ///
     /// # Panics
     ///
-    /// Panics if `requests` is unsorted, a class index is out of range
-    /// or a request asks for a kind that is not in `kinds`.
+    /// Panics if `requests` is unsorted, a class index is out of range,
+    /// a request asks for a kind that is not in `kinds`, `kinds` or
+    /// `classes` exceeds 256, or the last arrival is at or past 2^48 ns.
     pub fn from_requests(kinds: &[NetworkKind], classes: usize, requests: Vec<FleetRequest>) -> Self {
         assert!(
             requests.windows(2).all(|w| w[0].at_ns <= w[1].at_ns),
             "requests must be sorted by time"
         );
-        assert!(
-            requests.iter().all(|r| (r.class as usize) < classes),
-            "class index out of range"
-        );
+        check_limits(kinds.len(), classes, requests.last().map_or(0, |r| r.at_ns));
         let index = KindIndex::new(kinds);
-        assert!(
-            requests.iter().all(|r| index.get(r.kind).is_some()),
-            "request kind not in the trace's kinds"
-        );
+        let words = requests
+            .iter()
+            .map(|r| {
+                let class = r.class as usize;
+                assert!(class < classes, "class index out of range");
+                let kind = index.get(r.kind).expect("request kind not in the trace's kinds");
+                pack(r.at_ns, class, kind)
+            })
+            .collect();
         FleetTrace {
             kinds: kinds.to_vec(),
             classes,
-            requests,
+            words,
         }
     }
 
@@ -192,19 +231,43 @@ impl FleetTrace {
         self.classes
     }
 
-    /// The requests, time-sorted.
-    pub fn requests(&self) -> &[FleetRequest] {
-        &self.requests
+    /// Request `i` (time order), or `None` past the end.
+    pub fn get(&self, i: usize) -> Option<FleetRequest> {
+        self.words.get(i).map(|&w| self.decode(w))
+    }
+
+    /// Every request, time-sorted.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = FleetRequest> + '_ {
+        self.words.iter().map(|&w| self.decode(w))
+    }
+
+    fn decode(&self, word: u64) -> FleetRequest {
+        let (at_ns, class, kind) = unpack(word);
+        FleetRequest {
+            at_ns,
+            kind: self.kinds[kind],
+            class: class as u32,
+        }
+    }
+
+    /// Heap bytes of the request words: 8 a request.
+    pub fn heap_bytes(&self) -> usize {
+        self.words.capacity() * size_of::<u64>()
+    }
+
+    /// The packed requests, time-sorted.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
     }
 
     /// Number of requests.
     pub fn len(&self) -> usize {
-        self.requests.len()
+        self.words.len()
     }
 
     /// Whether the trace is empty.
     pub fn is_empty(&self) -> bool {
-        self.requests.is_empty()
+        self.words.is_empty()
     }
 }
 
@@ -228,9 +291,10 @@ mod tests {
         assert_eq!(a, b);
         let c = FleetTrace::diurnal(&KINDS, &classes(), 500, 1000, 1_000_000, 0.2, 43);
         assert_ne!(a, c);
-        assert!(a.requests().windows(2).all(|w| w[0].at_ns <= w[1].at_ns));
+        let requests: Vec<FleetRequest> = a.iter().collect();
+        assert!(requests.windows(2).all(|w| w[0].at_ns <= w[1].at_ns));
         assert_eq!(a.len(), 500);
-        assert!(a.requests().iter().all(|r| r.class < 2));
+        assert!(requests.iter().all(|r| r.class < 2 && KINDS.contains(&r.kind)));
     }
 
     #[test]
@@ -239,7 +303,7 @@ mod tests {
         // half-period of each cycle; peaks must dominate.
         let t = FleetTrace::diurnal(&[NetworkKind::Gru], &classes(), 4000, 1000, 1_000_000, 0.1, 7);
         let (mut peak, mut trough) = (0u64, 0u64);
-        for r in t.requests() {
+        for r in t.iter() {
             // sin > 0 on the first half-period.
             if r.at_ns % 1_000_000 < 500_000 {
                 peak += 1;
@@ -256,7 +320,7 @@ mod tests {
     #[test]
     fn bursty_traces_concentrate_in_bursts() {
         let t = FleetTrace::bursty(&[NetworkKind::Gru], &classes(), 4000, 2000, 1_000_000, 100_000, 10, 11);
-        let in_burst = t.requests().iter().filter(|r| r.at_ns % 1_000_000 < 100_000).count();
+        let in_burst = t.iter().filter(|r| r.at_ns % 1_000_000 < 100_000).count();
         let frac = in_burst as f64 / t.len() as f64;
         // Bursts cover 10% of time at 10x rate: > half of all traffic.
         assert!(frac > 0.5, "burst fraction {frac} too low");
@@ -264,25 +328,93 @@ mod tests {
         assert_eq!(t, again);
     }
 
+    fn request(at_ns: u64, kind: NetworkKind, class: u32) -> FleetRequest {
+        FleetRequest { at_ns, kind, class }
+    }
+
+    #[test]
+    fn manual_traces_read_back_as_written_at_eight_bytes_a_request() {
+        // A kind named twice decodes as itself from its first slot.
+        let kinds = [
+            NetworkKind::Gru,
+            NetworkKind::CifarNet,
+            NetworkKind::Gru,
+            NetworkKind::Lstm,
+        ];
+        let requests = vec![
+            request(0, NetworkKind::Lstm, 2),
+            request(0, NetworkKind::Gru, 0),
+            request(7, NetworkKind::CifarNet, 1),
+            request(NS_LIMIT - 1, NetworkKind::Lstm, 2),
+        ];
+        let trace = FleetTrace::from_requests(&kinds, 3, requests.clone());
+        assert_eq!(trace.iter().collect::<Vec<_>>(), requests);
+        assert_eq!(trace.iter().len(), 4);
+        for (i, &r) in requests.iter().enumerate() {
+            assert_eq!(trace.get(i), Some(r));
+        }
+        assert_eq!(trace.get(4), None);
+        assert_eq!(trace.heap_bytes() / trace.len(), 8);
+        let drawn = FleetTrace::diurnal(&kinds, &classes(), 300, 1000, 1_000_000, 0.2, 5);
+        assert_eq!(drawn.heap_bytes(), 8 * 300);
+        assert_eq!(FleetTrace::from_requests(&kinds, 2, drawn.iter().collect()), drawn);
+    }
+
+    #[test]
+    fn the_limits_are_inclusive_of_their_bounds() {
+        let kinds = vec![NetworkKind::Gru; MAX_INDEX];
+        let last = request(NS_LIMIT - 1, NetworkKind::Gru, MAX_INDEX as u32 - 1);
+        let trace = FleetTrace::from_requests(&kinds, MAX_INDEX, vec![last]);
+        assert_eq!(trace.get(0), Some(last));
+        let classes = vec![ClassSpec::best_effort("batch"); MAX_INDEX];
+        assert_eq!(
+            FleetTrace::bursty(&kinds, &classes, 10, 2000, 1_000_000, 100_000, 10, 11).len(),
+            10
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "below 2^48 ns")]
+    fn an_arrival_at_2_pow_48_ns_is_rejected() {
+        let gru = |at_ns| request(at_ns, NetworkKind::Gru, 0);
+        FleetTrace::from_requests(&[NetworkKind::Gru], 1, vec![gru(0), gru(NS_LIMIT)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 256 network kinds")]
+    fn a_257th_kind_is_rejected() {
+        FleetTrace::from_requests(&[NetworkKind::Gru; MAX_INDEX + 1], 1, Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 256 classes")]
+    fn a_257th_class_is_rejected() {
+        FleetTrace::from_requests(&[NetworkKind::Gru], MAX_INDEX + 1, Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 256 classes")]
+    fn a_diurnal_trace_over_257_classes_is_rejected() {
+        let classes = vec![ClassSpec::best_effort("batch"); MAX_INDEX + 1];
+        FleetTrace::diurnal(&KINDS, &classes, 1, 1000, 1_000_000, 0.2, 5);
+    }
+
     #[test]
     #[should_panic(expected = "not in the trace's kinds")]
     fn manual_traces_asking_for_a_foreign_kind_are_rejected() {
-        let foreign = FleetRequest {
-            at_ns: 1,
-            kind: NetworkKind::CifarNet,
-            class: 0,
-        };
-        FleetTrace::from_requests(&[NetworkKind::Gru], 1, vec![foreign]);
+        FleetTrace::from_requests(&[NetworkKind::Gru], 1, vec![request(1, NetworkKind::CifarNet, 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "class index out of range")]
+    fn manual_traces_naming_a_foreign_class_are_rejected() {
+        FleetTrace::from_requests(&[NetworkKind::Gru], 1, vec![request(1, NetworkKind::Gru, 1)]);
     }
 
     #[test]
     #[should_panic(expected = "sorted")]
     fn unsorted_manual_traces_are_rejected() {
-        let r = |at_ns| FleetRequest {
-            at_ns,
-            kind: NetworkKind::Gru,
-            class: 0,
-        };
-        FleetTrace::from_requests(&[NetworkKind::Gru], 1, vec![r(10), r(5)]);
+        let gru = |at_ns| request(at_ns, NetworkKind::Gru, 0);
+        FleetTrace::from_requests(&[NetworkKind::Gru], 1, vec![gru(10), gru(5)]);
     }
 }

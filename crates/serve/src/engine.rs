@@ -21,13 +21,12 @@ use crate::error::Result;
 use crate::metrics::LatencySummary;
 use crate::policy::ServeConfig;
 use crate::pool::DeviceSet;
-use crate::tables::{CostTable, KindIndex};
-use crate::trace::{Arrival, ArrivalTrace};
+use crate::tables::CostTable;
+use crate::trace::{unpack, Arrival, ArrivalTrace};
 use crate::ServeError;
 use std::collections::VecDeque;
 use std::fmt;
 use std::mem::size_of;
-use std::sync::Arc;
 use tango_nets::NetworkKind;
 use tango_obs::{Domain, Phase};
 
@@ -99,7 +98,7 @@ const _: () = assert!(size_of::<Batch>() == 24);
 /// Per-request accounting of a run, in trace order, at 4 bytes a
 /// request plus 24 a batch.
 ///
-/// A request's kind and arrival are its trace's, whose arrivals the log
+/// A request's kind and arrival are its trace's, whose words the log
 /// shares rather than copies; the log itself keeps only the index of
 /// the batch each request rode in ([`SHED`] for a shed) and the
 /// batches. A shed always met a full queue, so its `queue_len` is the
@@ -108,7 +107,7 @@ const _: () = assert!(size_of::<Batch>() == 24);
 /// so both read as the list of records.
 #[derive(Clone)]
 pub struct RequestLog {
-    arrivals: Arc<[Arrival]>,
+    trace: ArrivalTrace,
     batch_of: Vec<u32>,
     batches: Vec<Batch>,
     queue_bound: usize,
@@ -127,18 +126,15 @@ impl RequestLog {
 
     /// The record of request `i` (trace order), or `None` past the end.
     pub fn get(&self, i: usize) -> Option<RequestRecord> {
-        Some(self.record(self.arrivals.get(i)?, self.batch_of[i]))
+        Some(self.record(self.trace.get(i)?, self.batch_of[i]))
     }
 
     /// Every record, in trace order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = RequestRecord> + '_ {
-        self.arrivals
-            .iter()
-            .zip(&self.batch_of)
-            .map(|(a, &b)| self.record(a, b))
+        self.trace.iter().zip(&self.batch_of).map(|(a, &b)| self.record(a, b))
     }
 
-    fn record(&self, arrival: &Arrival, batch: u32) -> RequestRecord {
+    fn record(&self, arrival: Arrival, batch: u32) -> RequestRecord {
         let outcome = match batch {
             SHED => Outcome::Shed {
                 queue_len: self.queue_bound,
@@ -219,7 +215,7 @@ impl ServeReport {
     }
 
     /// Heap bytes the report owns: its batch index per request and its
-    /// batches. The arrivals it shares belong to the trace.
+    /// batches. The request words it shares belong to the trace.
     pub fn heap_bytes(&self) -> usize {
         let log = &self.records;
         log.batch_of.capacity() * size_of::<u32>() + log.batches.capacity() * size_of::<Batch>()
@@ -251,11 +247,10 @@ pub fn run_trace(trace: &ArrivalTrace, config: &ServeConfig, cost: &dyn CostMode
         ));
     }
     let kinds = trace.kinds();
-    let kind_index = KindIndex::new(kinds);
     // Batch cycles are pure in (kind, batch): ask the model once each.
     let mut costs: CostTable<u64> = CostTable::new(kinds.len());
 
-    let arrivals = trace.arrivals();
+    let arrivals: &[u64] = trace.words();
     // Admission appends each request's entry; its batch's dispatch
     // overwrites an admitted one's `SHED` with the batch index.
     let mut batch_of: Vec<u32> = Vec::with_capacity(arrivals.len());
@@ -277,9 +272,11 @@ pub fn run_trace(trace: &ArrivalTrace, config: &ServeConfig, cost: &dyn CostMode
         devices.complete_until(now);
 
         // 2. Admit (or shed) every arrival due by `now`, in trace order.
-        while next_arrival < arrivals.len() && arrivals[next_arrival].at_cycle <= now {
-            let arrival = &arrivals[next_arrival];
-            let k = kind_index.get(arrival.kind).expect("a trace holds only its own kinds");
+        while let Some(&word) = arrivals.get(next_arrival) {
+            let (at_cycle, k) = unpack(word);
+            if at_cycle > now {
+                break;
+            }
             let qtrack = QUEUE_TRACK_BASE + k as u32;
             let queue = &mut queues[k];
             if queue.len() >= config.queue_bound {
@@ -301,16 +298,16 @@ pub fn run_trace(trace: &ArrivalTrace, config: &ServeConfig, cost: &dyn CostMode
                 // one queue overlap freely.
                 tango_obs::track_event_at(
                     Domain::Engine,
-                    arrival.at_cycle,
+                    at_cycle,
                     qtrack,
                     Phase::AsyncBegin,
                     "serve.request",
-                    arrival.kind.name(),
+                    kinds[k].name(),
                     next_arrival as i64,
                 );
                 queue.push_back(Queued {
                     record_idx: next_arrival,
-                    arrival: arrival.at_cycle,
+                    arrival: at_cycle,
                 });
                 tango_obs::track_event_at(
                     Domain::Engine,
@@ -391,8 +388,8 @@ pub fn run_trace(trace: &ArrivalTrace, config: &ServeConfig, cost: &dyn CostMode
         //    completion, or — when a device is idle — a queue-head aging
         //    past the delay bound.
         let mut next = u64::MAX;
-        if next_arrival < arrivals.len() {
-            next = next.min(arrivals[next_arrival].at_cycle);
+        if let Some(&word) = arrivals.get(next_arrival) {
+            next = next.min(unpack(word).0);
         }
         if let Some(done_at) = devices.next_completion() {
             next = next.min(done_at);
@@ -419,7 +416,7 @@ pub fn run_trace(trace: &ArrivalTrace, config: &ServeConfig, cost: &dyn CostMode
     Ok(ServeReport {
         batches: log_batches.len() as u64,
         records: RequestLog {
-            arrivals: Arc::clone(trace.shared_arrivals()),
+            trace: trace.clone(),
             batch_of,
             batches: log_batches,
             queue_bound: config.queue_bound,
@@ -455,7 +452,6 @@ mod tests {
                 .map(|_| Arrival {
                     at_cycle: at,
                     kind: GRU,
-                    input_seed: 0,
                 })
                 .collect(),
         )
@@ -621,7 +617,7 @@ mod reference {
     use crate::policy::ServeConfig;
     use crate::pool::DeviceSet;
     use crate::tables::{CostTable, KindIndex};
-    use crate::trace::ArrivalTrace;
+    use crate::trace::{Arrival, ArrivalTrace};
     use std::collections::VecDeque;
 
     /// The report's previous layout; same name, so `Debug` prints alike.
@@ -643,7 +639,7 @@ mod reference {
         let kinds = trace.kinds();
         let kind_index = KindIndex::new(kinds);
         let mut costs: CostTable<u64> = CostTable::new(kinds.len());
-        let arrivals = trace.arrivals();
+        let arrivals: Vec<Arrival> = trace.iter().collect();
         let mut records: Vec<RequestRecord> = arrivals
             .iter()
             .map(|a| RequestRecord {
@@ -737,6 +733,7 @@ mod differential {
     use crate::cost::TableCostModel;
     use crate::metrics::{records_metrics, serve_metrics};
     use crate::policy::BatchPolicy;
+    use std::sync::Arc;
     use tango_tensor::SplitMix64;
 
     const KINDS: [NetworkKind; 3] = [NetworkKind::Gru, NetworkKind::CifarNet, NetworkKind::Lstm];
@@ -765,7 +762,6 @@ mod differential {
                 .map(|i| Arrival {
                     at_cycle: i / per_volley * gap * per_volley,
                     kind: kinds[rng.below(kinds.len() as u64) as usize],
-                    input_seed: 0,
                 })
                 .collect();
             ArrivalTrace::from_arrivals(kinds, arrivals)
@@ -849,10 +845,7 @@ mod differential {
                 "seed {seed}: {} > {bound}",
                 report.heap_bytes()
             );
-            assert!(
-                Arc::ptr_eq(&report.records.arrivals, trace.shared_arrivals()),
-                "seed {seed}"
-            );
+            assert!(Arc::ptr_eq(report.records.trace.words(), trace.words()), "seed {seed}");
         }
     }
 }

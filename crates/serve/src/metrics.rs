@@ -336,7 +336,6 @@ mod tests {
             .map(|i| Arrival {
                 at_cycle: i / 5 * 9_000,
                 kind: [gru, cifar][rng.below(2) as usize],
-                input_seed: 0,
             })
             .collect();
         let cases = [

@@ -16,9 +16,6 @@
 //! orders are total, so identical call sequences produce identical
 //! device assignments — byte-determinism lives or dies here.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 /// A pool of interchangeable devices: free ones handed out
 /// lowest-id-first, busy ones retired in completion-time order, with
 /// deterministic grow/shrink-with-drain semantics.
@@ -29,8 +26,9 @@ pub struct DeviceSet {
     /// sorted `Vec` beats a tree and never frees its storage as the
     /// pool drains and refills.
     free: Vec<usize>,
-    /// Busy devices by `(completion_time, id)`.
-    busy: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Busy devices as `(completion_time, id)`, descending: the
+    /// earliest completion pops off the end, as `free` does.
+    busy: Vec<(u64, usize)>,
     /// Busy devices that leave the set when their batch completes.
     retiring: Vec<usize>,
     /// Device ids ever minted (grow never reuses an id).
@@ -44,7 +42,7 @@ impl DeviceSet {
     pub fn new(devices: usize) -> Self {
         DeviceSet {
             free: (0..devices).rev().collect(),
-            busy: BinaryHeap::new(),
+            busy: Vec::new(),
             retiring: Vec::new(),
             minted: devices,
             busy_time: 0,
@@ -87,14 +85,15 @@ impl DeviceSet {
     pub fn dispatch(&mut self, now: u64, done_at: u64) -> Option<usize> {
         assert!(done_at >= now, "batch completes before it starts");
         let id = self.free.pop()?;
-        self.busy.push(Reverse((done_at, id)));
+        let at = self.busy.partition_point(|&b| b > (done_at, id));
+        self.busy.insert(at, (done_at, id));
         self.busy_time += u128::from(done_at - now);
         Some(id)
     }
 
     /// Completion time of the earliest-finishing busy device.
     pub fn next_completion(&self) -> Option<u64> {
-        self.busy.peek().map(|&Reverse((done_at, _))| done_at)
+        self.busy.last().map(|&(done_at, _)| done_at)
     }
 
     /// Returns every device whose batch finished by `now` to the free
@@ -102,7 +101,7 @@ impl DeviceSet {
     /// Returns the number of devices retired.
     pub fn complete_until(&mut self, now: u64) -> usize {
         let mut retired = 0;
-        while let Some(&Reverse((done_at, id))) = self.busy.peek() {
+        while let Some(&(done_at, id)) = self.busy.last() {
             if done_at > now {
                 break;
             }
@@ -147,12 +146,11 @@ impl DeviceSet {
                 continue;
             }
             // All devices busy: retire the highest-id one not already
-            // marked. Busy ids are in the heap; collect the candidate
-            // deterministically.
+            // marked.
             let candidate = self
                 .busy
                 .iter()
-                .map(|&Reverse((_, id))| id)
+                .map(|&(_, id)| id)
                 .filter(|id| !self.retiring.contains(id))
                 .max();
             match candidate {

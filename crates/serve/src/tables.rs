@@ -2,8 +2,10 @@
 //!
 //! Both event loops ask two questions per request — which queue does
 //! this network kind use, and what does a batch of it cost — and both
-//! answers are pure in small integer keys, so a run resolves them by
-//! index instead of by search or by asking the cost model again.
+//! answers are pure in small integer keys. A trace answers the first
+//! when it is built (each request word carries [`KindIndex`]'s answer),
+//! and a run answers the second by index in a [`CostTable`] instead of
+//! asking the cost model again.
 
 use crate::error::Result;
 use tango_nets::NetworkKind;

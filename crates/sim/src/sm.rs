@@ -912,11 +912,15 @@ impl Sm {
 }
 
 /// Inserts `item` into `queue`, kept in ascending order of `key`, after
-/// the items of an equal key. A new item tends to be the latest, so the
-/// search starts at the back.
+/// the items of an equal key. A new item tends to be the latest: it
+/// then goes on the back, and otherwise the search starts there.
 fn insert_sorted<T>(queue: &mut VecDeque<T>, item: T, key: impl Fn(&T) -> u64) {
     let k = key(&item);
-    let mut at = queue.len();
+    if queue.back().is_none_or(|last| key(last) <= k) {
+        queue.push_back(item);
+        return;
+    }
+    let mut at = queue.len() - 1;
     while at > 0 && key(&queue[at - 1]) > k {
         at -= 1;
     }
@@ -1107,5 +1111,24 @@ mod tests {
         sm.retire_mshrs(50);
         assert_eq!(sm.parked_at(50), 0);
         assert_eq!(sm.check_issue(0, &env(&mut world, 50, 1), &idle), None);
+    }
+
+    #[test]
+    fn insert_sorted_orders_by_key_and_equal_keys_by_arrival() {
+        // Keys from a small range, so both the append at the back and
+        // the search fire, and many keys tie.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut queue = VecDeque::new();
+        let mut inserted = Vec::new();
+        for i in 0..500u64 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let item = (state % 40 + i / 10, i);
+            insert_sorted(&mut queue, item, |&(k, _)| k);
+            inserted.push(item);
+        }
+        inserted.sort_by_key(|&(k, _)| k);
+        assert_eq!(queue.into_iter().collect::<Vec<_>>(), inserted);
     }
 }
