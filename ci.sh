@@ -124,7 +124,7 @@ for f in "$SCRATCH"/fig*.txt "$SCRATCH"/table*.txt; do
     fi
 done
 
-section "repro_all --only: one experiment alone equals the cold pass's; unknown ids exit 2"
+section "repro_all --only: one experiment alone equals the cold pass's, a subset prefetches its needs; unknown ids exit 2"
 mkdir -p "$SCRATCH/only"
 TANGO_PRESET=tiny TANGO_RESULTS_DIR="$SCRATCH/only" \
     cargo run --release -q -p tango-bench --bin repro_all -- --only fig07 >/dev/null 2>&1
@@ -132,6 +132,16 @@ if ! cmp -s "$SCRATCH/fig07.txt" "$SCRATCH/only/fig07.txt"; then
     echo "FAIL: repro_all --only fig07 differs from the full run's fig07.txt" >&2
     exit 1
 fi
+# --only prefetches the union of the named entries' needs: Figures
+# 13/14 share the four CNNs' L1D-bypassed runs.
+mkdir -p "$SCRATCH/only_l2"
+TANGO_PRESET=tiny TANGO_RESULTS_DIR="$SCRATCH/only_l2" \
+    cargo run --release -q -p tango-bench --bin repro_all -- --only fig13,fig14 >/dev/null 2>"$SCRATCH/only_l2.err"
+grep -q '^\[repro\] suite: 4 jobs' "$SCRATCH/only_l2.err" || {
+    echo "FAIL: repro_all --only fig13,fig14 did not prefetch its 4 runs as one suite" >&2
+    cat "$SCRATCH/only_l2.err" >&2
+    exit 1
+}
 expect_exit2 -- cargo run --release -q -p tango-bench --bin repro_all -- --only nope
 grep -q 'fig07' "$SCRATCH/exit2.err" || {
     echo "FAIL: repro_all --only nope does not list the ids" >&2

@@ -11,7 +11,6 @@
 //! from the store instead of re-running the cycle-level simulator.
 
 use crate::Result;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 use tango_isa::{max_live_registers, Dim3};
@@ -258,27 +257,6 @@ impl Characterizer {
         self.seed
     }
 
-    /// Returns a copy with a different GPU configuration (keeping the
-    /// run source).
-    pub fn with_config(&self, config: GpuConfig) -> Self {
-        Characterizer {
-            config,
-            preset: self.preset,
-            seed: self.seed,
-            source: self.source.clone(),
-        }
-    }
-
-    /// Returns a copy with a different preset (keeping the run source).
-    pub fn with_preset(&self, preset: Preset) -> Self {
-        Characterizer {
-            config: self.config.clone(),
-            preset,
-            seed: self.seed,
-            source: self.source.clone(),
-        }
-    }
-
     /// Default simulation options for this driver.
     pub fn default_options(&self) -> SimOptions {
         SimOptions::new()
@@ -302,43 +280,33 @@ impl Characterizer {
     ///
     /// Propagates network-construction and input errors.
     pub fn run_network(&self, kind: NetworkKind, opts: &SimOptions) -> Result<NetworkRun> {
-        let spec = self.run_spec(kind, opts);
+        self.fetch_run(&self.run_spec(kind, opts))
+    }
+
+    /// The run `spec` describes, through the attached source when
+    /// present. `spec` carries its own config, preset and seed.
+    ///
+    /// # Errors
+    ///
+    /// Propagates network-construction and input errors.
+    pub fn fetch_run(&self, spec: &RunSpec) -> Result<NetworkRun> {
         match &self.source {
-            Some(src) => src.network_run(&spec),
-            None => simulate_run(&spec),
+            Some(src) => src.network_run(spec),
+            None => simulate_run(spec),
         }
     }
 
-    /// Builds one network at `preset` (no simulation) and returns its
-    /// static stats, through the attached source when present.
+    /// The build stats `spec` describes (no simulation), through the
+    /// attached source when present.
     ///
     /// # Errors
     ///
     /// Propagates network-construction errors.
-    pub fn build_stats(&self, kind: NetworkKind, preset: Preset) -> Result<BuildStats> {
-        let spec = BuildSpec {
-            preset,
-            seed: self.seed,
-            kind,
-        };
+    pub fn fetch_build(&self, spec: &BuildSpec) -> Result<BuildStats> {
         match &self.source {
-            Some(src) => src.build_stats(&spec),
-            None => measure_build(&spec),
+            Some(src) => src.build_stats(spec),
+            None => measure_build(spec),
         }
-    }
-
-    /// Runs every network in `kinds` and returns the results keyed by
-    /// network (ordering follows `NetworkKind::ALL`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first failure.
-    pub fn run_many(&self, kinds: &[NetworkKind], opts: &SimOptions) -> Result<BTreeMap<&'static str, NetworkRun>> {
-        let mut out = BTreeMap::new();
-        for &kind in kinds {
-            out.insert(kind.name(), self.run_network(kind, opts)?);
-        }
-        Ok(out)
     }
 }
 
@@ -376,7 +344,12 @@ mod tests {
     #[test]
     fn build_stats_capture_table3_facts() {
         let ch = Characterizer::new(GpuConfig::gp102(), Preset::Tiny, 5);
-        let b = ch.build_stats(NetworkKind::CifarNet, Preset::Tiny).unwrap();
+        let spec = BuildSpec {
+            preset: Preset::Tiny,
+            seed: 5,
+            kind: NetworkKind::CifarNet,
+        };
+        let b = ch.fetch_build(&spec).unwrap();
         assert!(b.footprint_bytes > 0);
         assert!(!b.layers.is_empty());
         for layer in &b.layers {
@@ -402,11 +375,19 @@ mod tests {
         let src = Arc::new(CountingSource(AtomicUsize::new(0)));
         let ch = Characterizer::new(GpuConfig::gp102(), Preset::Tiny, 6).with_source(src.clone());
         ch.run_network(NetworkKind::Gru, &ch.default_options()).unwrap();
-        ch.build_stats(NetworkKind::Gru, Preset::Tiny).unwrap();
+        let build = BuildSpec {
+            preset: Preset::Tiny,
+            seed: 6,
+            kind: NetworkKind::Gru,
+        };
+        ch.fetch_build(&build).unwrap();
         assert_eq!(src.0.load(Ordering::Relaxed), 2);
-        // Derived characterizers keep the source.
-        let ch2 = ch.with_config(GpuConfig::tx1()).with_preset(Preset::Tiny);
-        ch2.run_network(NetworkKind::Gru, &ch.default_options()).unwrap();
+        // A spec on another config still goes through the source.
+        let spec = RunSpec {
+            config: GpuConfig::tx1(),
+            ..ch.run_spec(NetworkKind::Gru, &ch.default_options())
+        };
+        ch.fetch_run(&spec).unwrap();
         assert_eq!(src.0.load(Ordering::Relaxed), 3);
     }
 }

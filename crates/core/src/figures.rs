@@ -1,14 +1,12 @@
 //! Per-figure data producers — one function per figure of the paper's
 //! evaluation section (Figures 1-16), each returning a [`Matrix`] (or a
-//! small struct of them) that the `tango-bench` binaries print and the
+//! small struct of them) that [`crate::experiments`] renders and the
 //! integration tests assert shape properties on.
 //!
-//! Simulated figures take either a [`Characterizer`] (when they need
-//! special run configurations) or previously-collected [`NetworkRun`]s
-//! (when several figures share the same default runs — see
-//! [`run_default_suite`]).
+//! Every producer is a pure function of the runs or builds its
+//! experiment's `needs` lists, in that order; none fetches anything.
 
-use crate::characterize::{Characterizer, NetworkRun};
+use crate::characterize::{BuildStats, NetworkRun};
 use crate::report::{Matrix, Unit};
 use crate::Result;
 use std::collections::BTreeMap;
@@ -17,31 +15,26 @@ use tango_isa::{DType, Opcode};
 use tango_nets::{build_network, LayerType, NetworkKind, Preset};
 use tango_sim::{Gpu, GpuConfig, SchedulerPolicy, StallReason};
 
-/// Runs all seven networks once with default options (the shared input of
-/// Figures 1, 3, 4, 5, 8, 9, 10).
-///
-/// # Errors
-///
-/// Propagates the first network failure.
-pub fn run_default_suite(ch: &Characterizer) -> Result<Vec<NetworkRun>> {
-    NetworkKind::ALL
-        .iter()
-        .map(|&k| ch.run_network(k, &ch.default_options()))
-        .collect()
-}
+/// Figure 2's L1D sizes, bypassed first (the baseline each row is
+/// normalized to).
+pub const L1D_SIZES: [(&str, u32); 4] = [("No L1", 0), ("L1", 64 << 10), ("2xL1", 128 << 10), ("4xL1", 256 << 10)];
 
 fn find(runs: &[NetworkRun], kind: NetworkKind) -> Option<&NetworkRun> {
     runs.iter().find(|r| r.kind == kind)
 }
 
-fn layer_type_columns(runs: &[&NetworkRun]) -> Vec<&'static str> {
+/// The four CNNs the paper plots per layer type, in `FIGURE_CNNS` order.
+fn figure_cnns(runs: &[NetworkRun]) -> Vec<&NetworkRun> {
+    NetworkKind::FIGURE_CNNS.iter().filter_map(|&k| find(runs, k)).collect()
+}
+
+/// Every `label` of the runs' layer types, in first-seen order.
+fn layer_type_columns(runs: &[&NetworkRun], label: fn(LayerType) -> &'static str) -> Vec<&'static str> {
     let mut cols: Vec<&'static str> = Vec::new();
-    for run in runs {
-        for rec in &run.report.records {
-            let label = rec.layer_type.label();
-            if !cols.contains(&label) {
-                cols.push(label);
-            }
+    for rec in runs.iter().flat_map(|run| &run.report.records) {
+        let label = label(rec.layer_type);
+        if !cols.contains(&label) {
+            cols.push(label);
         }
     }
     cols
@@ -50,11 +43,8 @@ fn layer_type_columns(runs: &[&NetworkRun]) -> Vec<&'static str> {
 /// Figure 1: execution-time breakdown w.r.t. layer type for the four CNNs
 /// the paper plots.
 pub fn fig1_time_breakdown(runs: &[NetworkRun]) -> Matrix {
-    let cnns: Vec<&NetworkRun> = NetworkKind::FIGURE_CNNS
-        .iter()
-        .filter_map(|&k| find(runs, k))
-        .collect();
-    let cols = layer_type_columns(&cnns);
+    let cnns = figure_cnns(runs);
+    let cols = layer_type_columns(&cnns, LayerType::label);
     let mut m = Matrix::new(
         "Fig 1: Execution Time Breakdown w.r.t. Layer Type",
         "Network",
@@ -76,34 +66,30 @@ pub fn fig1_time_breakdown(runs: &[NetworkRun]) -> Matrix {
     m
 }
 
-/// Figure 2: normalized execution time under L1D sizes
-/// {bypassed, 64 KB, 128 KB, 256 KB}, normalized to the bypassed run.
-///
-/// # Errors
-///
-/// Propagates network failures.
-pub fn fig2_l1d_sensitivity(ch: &Characterizer) -> Result<Matrix> {
-    let sizes: [(&str, u32); 4] = [("No L1", 0), ("L1", 64 << 10), ("2xL1", 128 << 10), ("4xL1", 256 << 10)];
+/// One row per network of `sweep_len` consecutive runs, each run's
+/// total cycles normalized to the first's.
+fn normalized_sweeps(m: &mut Matrix, runs: &[NetworkRun], sweep_len: usize) {
+    for sweep in runs.chunks(sweep_len) {
+        let base = sweep[0].report.total_cycles().max(1);
+        let row = sweep
+            .iter()
+            .map(|run| run.report.total_cycles().max(1) as f64 / base as f64)
+            .collect();
+        m.push_row(sweep[0].kind.name(), row);
+    }
+}
+
+/// Figure 2: normalized execution time under [`L1D_SIZES`], normalized to
+/// the bypassed run. `runs` holds each network's sweep in that order.
+pub fn fig2_l1d_sensitivity(runs: &[NetworkRun]) -> Matrix {
     let mut m = Matrix::new(
         "Fig 2: Normalized Execution Time with Various L1D Sizes",
         "Network",
-        sizes.iter().map(|(n, _)| n.to_string()).collect(),
+        L1D_SIZES.iter().map(|(n, _)| n.to_string()).collect(),
         Unit::Ratio,
     );
-    for kind in NetworkKind::ALL {
-        let mut row = Vec::new();
-        let mut base = 0u64;
-        for (_, bytes) in sizes {
-            let run = ch.run_network(kind, &ch.default_options().with_l1d_bytes(bytes))?;
-            let cycles = run.report.total_cycles().max(1);
-            if base == 0 {
-                base = cycles;
-            }
-            row.push(cycles as f64 / base as f64);
-        }
-        m.push_row(kind.name(), row);
-    }
-    Ok(m)
+    normalized_sweeps(&mut m, runs, L1D_SIZES.len());
+    m
 }
 
 /// Figure 3: peak power across layers per network, in watts.
@@ -123,20 +109,9 @@ pub fn fig3_peak_power(runs: &[NetworkRun]) -> Matrix {
 /// Figure 4: average power per layer type for the four CNNs, as shares of
 /// the network's energy (the paper's stacked per-type power plot).
 pub fn fig4_power_per_layer_type(runs: &[NetworkRun]) -> Matrix {
-    let cnns: Vec<&NetworkRun> = NetworkKind::FIGURE_CNNS
-        .iter()
-        .filter_map(|&k| find(runs, k))
-        .collect();
+    let cnns = figure_cnns(runs);
     // Figure 4 merges fire squeeze/expand into "Fire".
-    let mut cols: Vec<&'static str> = Vec::new();
-    for run in &cnns {
-        for rec in &run.report.records {
-            let label = rec.layer_type.coarse_label();
-            if !cols.contains(&label) {
-                cols.push(label);
-            }
-        }
-    }
+    let cols = layer_type_columns(&cnns, LayerType::coarse_label);
     let mut m = Matrix::new(
         "Fig 4: Average Power Consumption per Layer Type",
         "Network",
@@ -196,19 +171,13 @@ pub struct Fig6Report {
 
 /// Figure 6: energy on the embedded GPU (TX1) vs the embedded FPGA
 /// (PynQ), energy computed as peak power x execution time exactly as the
-/// paper does. The TX1 runs route through `ch`'s run source (keeping its
-/// seed), so a warm store skips the expensive full-size simulations.
+/// paper does. `tx1_runs` are the full-size (`Paper`) TX1 runs; the PynQ
+/// side models the same networks built at `seed`.
 ///
 /// # Errors
 ///
-/// Propagates network failures.
-pub fn fig6_tx1_vs_pynq(ch: &Characterizer, preset: Preset) -> Result<Fig6Report> {
-    let seed = ch.seed();
-    let ch = ch.with_config(GpuConfig::tx1()).with_preset(preset);
-    // The embedded comparison is meaningful at published model sizes
-    // (layer-count-driven FPGA overheads do not shrink with channel
-    // scaling); CTA sampling keeps the TX1 side tractable.
-    let opts = ch.default_options().with_cta_sample_limit(Some(48));
+/// Propagates network-construction failures.
+pub fn fig6_tx1_vs_pynq(tx1_runs: &[NetworkRun], seed: u64) -> Result<Fig6Report> {
     let board = PynqZ1::new();
     let cols = vec!["TX1".to_string(), "PynQ".to_string()];
     let mut energy = Matrix::new(
@@ -219,14 +188,14 @@ pub fn fig6_tx1_vs_pynq(ch: &Characterizer, preset: Preset) -> Result<Fig6Report
     );
     let mut time = Matrix::new("Fig 6 (detail): Execution Time", "Network", cols.clone(), Unit::Seconds);
     let mut power = Matrix::new("Fig 6 (detail): Peak Power", "Network", cols, Unit::Watts);
-    for kind in [NetworkKind::CifarNet, NetworkKind::SqueezeNet] {
-        let gpu_run = ch.run_network(kind, &opts)?;
+    for gpu_run in tx1_runs {
+        let kind = gpu_run.kind;
         let gpu_time = gpu_run.report.total_time_s();
         let gpu_peak = gpu_run.report.peak_power_w();
         let gpu_energy = gpu_peak * gpu_time; // the paper's methodology
 
         let mut dev = Gpu::new(GpuConfig::tx1());
-        let net = build_network(&mut dev, kind, preset, seed)?;
+        let net = build_network(&mut dev, kind, Preset::Paper, seed)?;
         let fpga = board.run_network(&net);
 
         energy.push_row(kind.name(), vec![gpu_energy / fpga.energy_j, 1.0]);
@@ -241,14 +210,10 @@ pub fn fig6_tx1_vs_pynq(ch: &Characterizer, preset: Preset) -> Result<Fig6Report
 }
 
 /// Figure 7: stall-cycle breakdown per layer type of each network, plus
-/// the cross-network per-type summary section. Run on the GK210 preset
-/// like the paper (which profiled its K80 with `nvprof`).
-///
-/// # Errors
-///
-/// Propagates network failures.
-pub fn fig7_stall_breakdown(ch: &Characterizer) -> Result<Matrix> {
-    let ch = ch.with_config(GpuConfig::gk210());
+/// the cross-network per-type summary section, over `gk210_runs`: run on
+/// the GK210 preset like the paper (which profiled its K80 with
+/// `nvprof`).
+pub fn fig7_stall_breakdown(gk210_runs: &[NetworkRun]) -> Matrix {
     let mut m = Matrix::new(
         "Fig 7: Breakdown of Stall Cycles (GK210)",
         "Network/Layer",
@@ -256,8 +221,7 @@ pub fn fig7_stall_breakdown(ch: &Characterizer) -> Result<Matrix> {
         Unit::Percent,
     );
     let mut summary: BTreeMap<&'static str, tango_sim::StallBreakdown> = BTreeMap::new();
-    for kind in NetworkKind::ALL {
-        let run = ch.run_network(kind, &ch.default_options())?;
+    for run in gk210_runs {
         let mut by: BTreeMap<&'static str, tango_sim::StallBreakdown> = BTreeMap::new();
         for rec in &run.report.records {
             let label = rec.layer_type.coarse_label();
@@ -266,14 +230,14 @@ pub fn fig7_stall_breakdown(ch: &Characterizer) -> Result<Matrix> {
         }
         for (label, stalls) in by {
             let values = StallReason::ALL.iter().map(|&r| stalls.fraction(r)).collect();
-            m.push_row(format!("{} {}", kind.name(), label), values);
+            m.push_row(format!("{} {}", run.kind.name(), label), values);
         }
     }
     for (label, stalls) in summary {
         let values = StallReason::ALL.iter().map(|&r| stalls.fraction(r)).collect();
         m.push_row(format!("Summary {label}"), values);
     }
-    Ok(m)
+    m
 }
 
 fn op_totals(run: &NetworkRun) -> (BTreeMap<Opcode, u64>, u64) {
@@ -360,36 +324,26 @@ pub fn fig10_dtype_over_layers(runs: &[NetworkRun]) -> Matrix {
 }
 
 /// Figure 11: maximum device-memory usage per network in KB, on the
-/// full-size (`Paper`) models like the paper's TX1 measurement.
-/// Build-only — footprint is an allocation property, pulled through
-/// `ch`'s run source.
-///
-/// # Errors
-///
-/// Propagates network-construction failures.
-pub fn fig11_memory_footprint(ch: &Characterizer) -> Result<Matrix> {
+/// full-size (`Paper`) builds like the paper's TX1 measurement —
+/// footprint is an allocation property, so no simulation.
+pub fn fig11_memory_footprint(builds: &[(NetworkKind, BuildStats)]) -> Matrix {
     let mut m = Matrix::new(
         "Fig 11: Memory Footprint (full-size models, TX1)",
         "Network",
         vec!["Max Device Memory".into()],
         Unit::Kilobytes,
     );
-    for kind in NetworkKind::ALL {
-        let build = ch.build_stats(kind, Preset::Paper)?;
+    for (kind, build) in builds {
         m.push_row(kind.name(), vec![build.footprint_bytes as f64 / 1024.0]);
     }
-    Ok(m)
+    m
 }
 
 /// Figure 12: per-SM register-file usage per network in KB — maximum
 /// allocated registers (compiler allocation x peak residency) vs maximum
 /// live registers (dataflow liveness x peak residency), computed
-/// statically on the full-size models against the Pascal configuration.
-///
-/// # Errors
-///
-/// Propagates network-construction failures.
-pub fn fig12_register_usage(ch: &Characterizer) -> Result<Matrix> {
+/// statically on the full-size builds against the Pascal configuration.
+pub fn fig12_register_usage(builds: &[(NetworkKind, BuildStats)]) -> Matrix {
     let config = GpuConfig::gp102();
     let mut m = Matrix::new(
         "Fig 12: Register File Usage per SM (Pascal, full-size models)",
@@ -397,8 +351,7 @@ pub fn fig12_register_usage(ch: &Characterizer) -> Result<Matrix> {
         vec!["Max Allocated Registers".into(), "Max Live Registers".into()],
         Unit::Kilobytes,
     );
-    for kind in NetworkKind::ALL {
-        let build = ch.build_stats(kind, Preset::Paper)?;
+    for (kind, build) in builds {
         let mut alloc_max = 0u64;
         let mut live_max = 0u64;
         for layer in &build.layers {
@@ -412,38 +365,13 @@ pub fn fig12_register_usage(ch: &Characterizer) -> Result<Matrix> {
         }
         m.push_row(kind.name(), vec![alloc_max as f64 / 1024.0, live_max as f64 / 1024.0]);
     }
-    Ok(m)
-}
-
-/// Shared producer for Figures 13/14: runs the four CNNs with the L1D
-/// bypassed.
-///
-/// # Errors
-///
-/// Propagates network failures.
-pub fn run_cnns_no_l1(ch: &Characterizer) -> Result<Vec<NetworkRun>> {
-    NetworkKind::FIGURE_CNNS
-        .iter()
-        .map(|&k| ch.run_network(k, &ch.default_options().with_l1d_bytes(0)))
-        .collect()
+    m
 }
 
 fn l2_by_type(runs: &[NetworkRun], ratio: bool, title: &str, unit: Unit) -> Matrix {
-    let refs: Vec<&NetworkRun> = runs.iter().collect();
-    let cols = {
-        let mut cols: Vec<&'static str> = Vec::new();
-        for run in &refs {
-            for rec in &run.report.records {
-                let label = rec.layer_type.coarse_label();
-                if !cols.contains(&label) {
-                    cols.push(label);
-                }
-            }
-        }
-        cols
-    };
+    let cols = layer_type_columns(&runs.iter().collect::<Vec<_>>(), LayerType::coarse_label);
     let mut m = Matrix::new(title, "Network", cols.iter().map(|c| c.to_string()).collect(), unit);
-    for run in refs {
+    for run in runs {
         let mut misses: BTreeMap<&str, u64> = BTreeMap::new();
         let mut accesses: BTreeMap<&str, u64> = BTreeMap::new();
         for rec in &run.report.records {
@@ -488,51 +416,28 @@ pub fn fig14_l2_miss_ratio(no_l1_runs: &[NetworkRun]) -> Matrix {
 }
 
 /// Figure 15: execution time under the GTO/LRR/TLV warp schedulers,
-/// normalized to GTO.
-///
-/// # Errors
-///
-/// Propagates network failures.
-pub fn fig15_scheduler_sensitivity(ch: &Characterizer) -> Result<Matrix> {
+/// normalized to GTO. `runs` holds each network's sweep in
+/// `SchedulerPolicy::ALL` order (GTO first).
+pub fn fig15_scheduler_sensitivity(runs: &[NetworkRun]) -> Matrix {
     let mut m = Matrix::new(
         "Fig 15: Warp Scheduler Sensitivity (normalized to GTO)",
         "Network",
         SchedulerPolicy::ALL.iter().map(|p| p.name().to_uppercase()).collect(),
         Unit::Ratio,
     );
-    for kind in NetworkKind::ALL {
-        let mut row = Vec::new();
-        let mut base = 0u64;
-        for policy in SchedulerPolicy::ALL {
-            let run = ch.run_network(kind, &ch.default_options().with_scheduler(policy))?;
-            let cycles = run.report.total_cycles().max(1);
-            if policy == SchedulerPolicy::Gto {
-                base = cycles;
-            }
-            row.push(cycles as f64 / base as f64);
-        }
-        m.push_row(kind.name(), row);
-    }
-    Ok(m)
+    normalized_sweeps(&mut m, runs, SchedulerPolicy::ALL.len());
+    m
 }
 
 /// Figure 16: per-layer scheduler sensitivity of AlexNet, normalized to
-/// GTO per layer.
-///
-/// # Errors
-///
-/// Propagates network failures.
-pub fn fig16_alexnet_per_layer_scheduler(ch: &Characterizer) -> Result<Matrix> {
+/// GTO per layer. `runs` are AlexNet's in `SchedulerPolicy::ALL` order.
+pub fn fig16_alexnet_per_layer_scheduler(runs: &[NetworkRun]) -> Matrix {
     let mut m = Matrix::new(
         "Fig 16: Per-Layer Warp Scheduler Sensitivity of AlexNet (normalized to GTO)",
         "Layer",
         SchedulerPolicy::ALL.iter().map(|p| p.name().to_uppercase()).collect(),
         Unit::Ratio,
     );
-    let runs: Vec<NetworkRun> = SchedulerPolicy::ALL
-        .iter()
-        .map(|&p| ch.run_network(NetworkKind::AlexNet, &ch.default_options().with_scheduler(p)))
-        .collect::<Result<_>>()?;
     let layer_count = runs[0].report.records.len();
     for i in 0..layer_count {
         let base = runs[0].report.records[i].stats.cycles.max(1);
@@ -543,7 +448,44 @@ pub fn fig16_alexnet_per_layer_scheduler(ch: &Characterizer) -> Result<Matrix> {
             .collect();
         m.push_row(name, values);
     }
-    Ok(m)
+    m
+}
+
+/// The one-page suite digest: per-network totals (layers, cycles, warp
+/// instructions, IPC, power, energy, footprint) of the GP102 default
+/// suite at `preset`.
+pub fn suite_summary(runs: &[NetworkRun], preset: Preset) -> Matrix {
+    let mut m = Matrix::new(
+        format!("Suite summary ({}, {preset} preset)", GpuConfig::gp102().name),
+        "Network",
+        vec![
+            "layers".into(),
+            "cycles".into(),
+            "warp instrs".into(),
+            "IPC".into(),
+            "peak W".into(),
+            "energy J".into(),
+            "footprint KB".into(),
+        ],
+        Unit::Ratio,
+    );
+    for run in runs {
+        let cycles = run.report.total_cycles();
+        let instrs: u64 = run.report.records.iter().map(|r| r.stats.warp_instructions).sum();
+        m.push_row(
+            run.kind.name(),
+            vec![
+                run.report.records.len() as f64,
+                cycles as f64,
+                instrs as f64,
+                instrs as f64 / cycles.max(1) as f64,
+                run.report.peak_power_w(),
+                run.report.total_energy_j(),
+                run.footprint_bytes as f64 / 1024.0,
+            ],
+        );
+    }
+    m
 }
 
 /// Convenience: the layer type that dominates a network's time (used by
@@ -561,15 +503,20 @@ pub fn dominant_layer_type(run: &NetworkRun) -> (LayerType, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{find, Inputs};
+    use crate::Characterizer;
 
     fn tiny_ch() -> Characterizer {
         Characterizer::new(GpuConfig::gp102(), Preset::Tiny, 11)
     }
 
+    fn inputs(id: &str, ch: &Characterizer) -> Inputs {
+        find(id).unwrap().inputs(ch).unwrap()
+    }
+
     #[test]
     fn fig1_rows_sum_to_one() {
-        let ch = tiny_ch();
-        let runs = run_default_suite(&ch).unwrap();
+        let runs = inputs("fig01", &tiny_ch()).runs;
         let m = fig1_time_breakdown(&runs);
         assert_eq!(m.rows.len(), 4);
         for (name, values) in &m.rows {
@@ -580,8 +527,7 @@ mod tests {
 
     #[test]
     fn fig9_includes_others_and_sums_to_one() {
-        let ch = tiny_ch();
-        let runs = run_default_suite(&ch).unwrap();
+        let runs = inputs("fig09", &tiny_ch()).runs;
         let m = fig9_top_ops(&runs);
         assert_eq!(m.rows.len(), 11);
         let sum: f64 = m.rows.iter().map(|(_, v)| v[0]).sum();
@@ -593,7 +539,8 @@ mod tests {
 
     #[test]
     fn fig12_live_never_exceeds_allocated() {
-        let m = fig12_register_usage(&Characterizer::new(GpuConfig::gp102(), Preset::Tiny, 5)).unwrap();
+        let builds = inputs("fig12", &Characterizer::new(GpuConfig::gp102(), Preset::Tiny, 5)).builds;
+        let m = fig12_register_usage(&builds);
         for (name, v) in &m.rows {
             assert!(v[1] <= v[0], "{name}: live {} > allocated {}", v[1], v[0]);
         }

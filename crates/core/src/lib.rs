@@ -28,16 +28,18 @@
 //! # }
 //! ```
 //!
-//! The per-experiment producers live in [`figures`] and [`tables`]; the
-//! `tango-bench` crate wraps each one in a binary and an in-tree
-//! microbench, and the `tango-harness` crate schedules the full
-//! experiment plan against a persistent result store.
+//! [`experiments`] lists every table and figure once: the runs and
+//! builds it needs and how [`figures`] and [`tables`] render them. The
+//! `tango-harness` crate schedules the union of those needs against a
+//! persistent result store, and `tango-bench`'s `repro_all` writes each
+//! experiment from it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod characterize;
 mod error;
+pub mod experiments;
 pub mod figures;
 pub mod report;
 pub mod tables;

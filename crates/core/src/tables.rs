@@ -1,9 +1,9 @@
 //! Table producers: the paper's Tables I-IV as printable text.
 
-use crate::{Characterizer, Result};
+use crate::BuildStats;
 use std::fmt::Write as _;
 use tango_fpga::PynqConfig;
-use tango_nets::{model_info, NetworkKind, Preset};
+use tango_nets::{model_info, NetworkKind};
 use tango_sim::GpuConfig;
 
 /// Table I: input data, pre-trained models (and this reproduction's
@@ -54,14 +54,8 @@ pub fn table2_gpus() -> String {
 }
 
 /// Table III: per-layer kernel configuration (gridDim, blockDim, regs,
-/// smem, cmem) for one network at full published size, pulled through
-/// `ch`'s run source.
-///
-/// # Errors
-///
-/// Propagates network-construction failures.
-pub fn table3_network(ch: &Characterizer, kind: NetworkKind) -> Result<String> {
-    let build = ch.build_stats(kind, Preset::Paper)?;
+/// smem, cmem) for one network, from its full-size (`Paper`) build.
+pub fn table3_network(kind: NetworkKind, build: &BuildStats) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "# Table III ({}): Network Configuration and SRAM Usage", kind.name());
     let _ = writeln!(
@@ -81,21 +75,17 @@ pub fn table3_network(ch: &Characterizer, kind: NetworkKind) -> Result<String> {
             layer.cmem_bytes
         );
     }
-    Ok(out)
+    out
 }
 
-/// Table III for every network, concatenated.
-///
-/// # Errors
-///
-/// Propagates network-construction failures.
-pub fn table3_all(ch: &Characterizer) -> Result<String> {
+/// Table III for every build, concatenated.
+pub fn table3_all(builds: &[(NetworkKind, BuildStats)]) -> String {
     let mut out = String::new();
-    for kind in NetworkKind::ALL {
-        out.push_str(&table3_network(ch, kind)?);
+    for (kind, build) in builds {
+        out.push_str(&table3_network(*kind, build));
         out.push('\n');
     }
-    Ok(out)
+    out
 }
 
 /// Table IV: the FPGA platform used for evaluation.
@@ -143,8 +133,12 @@ mod tests {
 
     #[test]
     fn table3_cifarnet_matches_paper_geometry() {
-        let ch = Characterizer::new(GpuConfig::gp102(), Preset::Paper, 3);
-        let t = table3_network(&ch, NetworkKind::CifarNet).unwrap();
+        let spec = crate::BuildSpec {
+            preset: tango_nets::Preset::Paper,
+            seed: 3,
+            kind: NetworkKind::CifarNet,
+        };
+        let t = table3_network(spec.kind, &crate::measure_build(&spec).unwrap());
         // The paper's CifarNet conv kernels: (1,1,1) grids of (32,32,1).
         assert!(t.contains("conv1"), "{t}");
         assert!(t.contains("(1, 1, 1)"));

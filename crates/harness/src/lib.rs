@@ -8,9 +8,9 @@
 //!   ([`RunKey`]) over the complete run description. It implements
 //!   `tango::RunSource`, so a `Characterizer` attached to a store serves
 //!   repeated runs from cache instead of re-simulating.
-//! * [`Suite`] — a deduplicating job scheduler that expands an
-//!   experiment plan ([`repro_plan`] covers all 16 figures and 4 tables)
-//!   and executes it across `TANGO_JOBS` worker threads
+//! * [`Suite`] — a deduplicating job scheduler that expands the needs of
+//!   the `tango::experiments` table ([`plan`]; [`repro_plan`] covers
+//!   every entry) and executes them across `TANGO_JOBS` worker threads
 //!   ([`worker_count`]) against a shared store.
 //!
 //! Because every simulation is deterministic, parallel execution is
@@ -34,4 +34,4 @@ pub use codec::{decode_backend, decode_build, decode_run, encode_backend, encode
 pub use hash::StableHasher;
 pub use key::{network_kind_code, network_kind_from_code, RecordKind, RunKey, STORE_SCHEMA_VERSION};
 pub use store::{results_root, GcReport, RunStore, StoreStats};
-pub use suite::{repro_plan, worker_count, Job, Suite, SuiteReport};
+pub use suite::{plan, repro_plan, worker_count, Job, Suite, SuiteReport};

@@ -1,4 +1,4 @@
-//! The suite scheduler: expands an experiment plan into deduplicated
+//! The suite scheduler: expands experiments' needs into deduplicated
 //! jobs and executes them across worker threads against a shared
 //! [`RunStore`].
 //!
@@ -7,18 +7,18 @@
 //! Figure 15's; Figures 13/14's no-L1 runs are a subset of Figure 2's
 //! L1-sweep). Jobs are therefore keyed by [`RunKey`] digest and added at
 //! most once, so the plan's job count is the number of *distinct*
-//! simulations the whole suite needs.
+//! simulations the selected experiments need.
 
 use crate::key::RunKey;
 use crate::store::RunStore;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use tango::experiments::{Experiment, EXPERIMENTS};
 use tango::{BuildSpec, Result, RunSpec, TangoError};
 use tango_backend::BackendRunSpec;
-use tango_nets::{NetworkKind, Preset};
+use tango_nets::Preset;
 use tango_obs::env::{positive, Var};
-use tango_sim::{GpuConfig, SchedulerPolicy, SimOptions};
 
 /// One unit of work: a full simulated run, a build-only measurement, or
 /// an accelerator-backend execution.
@@ -81,32 +81,28 @@ impl Suite {
         Suite::default()
     }
 
-    /// Queues a run job; returns `false` (and drops it) when an
-    /// identical job is already queued.
-    pub fn add_run(&mut self, spec: RunSpec) -> bool {
-        let key = RunKey::for_run(&spec);
-        self.seen.insert(key.digest) && {
-            self.jobs.push(Job::Run(spec));
+    /// Queues `job`; returns `false` (and drops it) when an identical
+    /// job is already queued.
+    fn add(&mut self, job: Job) -> bool {
+        self.seen.insert(job.key().digest) && {
+            self.jobs.push(job);
             true
         }
+    }
+
+    /// Queues a run job; returns `false` when already queued.
+    pub fn add_run(&mut self, spec: RunSpec) -> bool {
+        self.add(Job::Run(spec))
     }
 
     /// Queues a build job; returns `false` when already queued.
     pub fn add_build(&mut self, spec: BuildSpec) -> bool {
-        let key = RunKey::for_build(&spec);
-        self.seen.insert(key.digest) && {
-            self.jobs.push(Job::Build(spec));
-            true
-        }
+        self.add(Job::Build(spec))
     }
 
     /// Queues a backend job; returns `false` when already queued.
     pub fn add_backend(&mut self, spec: BackendRunSpec) -> bool {
-        let key = RunKey::for_backend(&spec);
-        self.seen.insert(key.digest) && {
-            self.jobs.push(Job::Backend(spec));
-            true
-        }
+        self.add(Job::Backend(spec))
     }
 
     /// Number of distinct jobs queued.
@@ -208,72 +204,33 @@ pub fn worker_count(var: &Var, raw: Option<&str>) -> std::result::Result<usize, 
     Ok(var.parse(raw, positive)?.unwrap_or_else(all_cores))
 }
 
-/// The full experiment plan behind `repro_all`: every distinct
-/// simulation and build that the 16 figures and 4 tables request at
-/// `preset`/`seed`, deduplicated.
-///
-/// The plan mirrors the producers exactly — a spec here that drifts from
-/// what a producer requests would cold-simulate inside the producer
-/// instead, which the warm-pass tests would catch as a miss.
-pub fn repro_plan(preset: Preset, seed: u64) -> Suite {
-    let gp102 = GpuConfig::gp102();
+/// Every distinct run and build `experiments` need at `preset`/`seed`:
+/// the union of their [`Experiment::needs`], deduplicated, in table
+/// order.
+pub fn plan<'a>(experiments: impl IntoIterator<Item = &'a Experiment>, preset: Preset, seed: u64) -> Suite {
     let mut suite = Suite::new();
-    let run = |config: &GpuConfig, kind: NetworkKind, options: SimOptions| RunSpec {
-        config: config.clone(),
-        preset,
-        seed,
-        kind,
-        options,
-    };
-
-    // Figures 1, 3, 4, 5, 8, 9, 10: the shared default suite on GP102.
-    for kind in NetworkKind::ALL {
-        suite.add_run(run(&gp102, kind, SimOptions::new()));
-    }
-    // Figure 2: the L1D sweep ({bypassed, 64K, 128K, 256K}); the bypassed
-    // runs double as Figures 13/14's inputs.
-    for kind in NetworkKind::ALL {
-        for bytes in [0u32, 64 << 10, 128 << 10, 256 << 10] {
-            suite.add_run(run(&gp102, kind, SimOptions::new().with_l1d_bytes(bytes)));
+    for e in experiments {
+        let needs = (e.needs)(preset, seed);
+        let builds = needs.builds.into_iter().map(Job::Build);
+        for job in needs.runs.into_iter().map(Job::Run).chain(builds) {
+            suite.add(job);
         }
-    }
-    // Figure 7: stall breakdown on the GK210.
-    let gk210 = GpuConfig::gk210();
-    for kind in NetworkKind::ALL {
-        suite.add_run(run(&gk210, kind, SimOptions::new()));
-    }
-    // Figures 15/16: the scheduler sweep (16's AlexNet runs dedup into 15's).
-    for kind in NetworkKind::ALL {
-        for policy in SchedulerPolicy::ALL {
-            suite.add_run(run(&gp102, kind, SimOptions::new().with_scheduler(policy)));
-        }
-    }
-    // Figure 6: TX1 side of the embedded comparison, always at published
-    // model sizes with CTA sampling (see `fig6_tx1_vs_pynq`).
-    let tx1 = GpuConfig::tx1();
-    for kind in [NetworkKind::CifarNet, NetworkKind::SqueezeNet] {
-        suite.add_run(RunSpec {
-            config: tx1.clone(),
-            preset: Preset::Paper,
-            seed,
-            kind,
-            options: SimOptions::new().with_cta_sample_limit(Some(48)),
-        });
-    }
-    // Figures 11/12 and Table III: build-only stats at published sizes.
-    for kind in NetworkKind::ALL {
-        suite.add_build(BuildSpec {
-            preset: Preset::Paper,
-            seed,
-            kind,
-        });
     }
     suite
+}
+
+/// The full experiment plan behind `repro_all`: the [`plan`] of every
+/// entry in [`EXPERIMENTS`].
+pub fn repro_plan(preset: Preset, seed: u64) -> Suite {
+    plan(&EXPERIMENTS, preset, seed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tango::experiments::find;
+    use tango_nets::NetworkKind;
+    use tango_sim::{GpuConfig, SchedulerPolicy, SimOptions};
 
     fn tiny_run(seed: u64, kind: NetworkKind) -> RunSpec {
         RunSpec {
@@ -322,6 +279,37 @@ mod tests {
             };
             assert!(digests.contains(&RunKey::for_run(&spec).digest));
         }
+    }
+
+    fn digests(suite: &Suite) -> Vec<u64> {
+        suite.jobs().iter().map(|j| j.key().digest).collect()
+    }
+
+    #[test]
+    fn plan_matches_the_hand_written_plan() {
+        // FNV over the sorted job digests of the hand-written plan this
+        // table replaced: the derived plan asks for exactly those jobs.
+        let mut sorted = digests(&repro_plan(Preset::Tiny, 7));
+        sorted.sort_unstable();
+        let mut h = crate::StableHasher::new();
+        sorted.iter().for_each(|&d| h.write_u64(d));
+        assert_eq!(h.finish(), 0xe49a_d6cb_6f48_0b6f);
+    }
+
+    #[test]
+    fn l2_figures_need_the_four_bypassed_cnns_inside_the_plan() {
+        let only = plan(["fig13", "fig14"].map(|id| find(id).unwrap()), Preset::Tiny, 7);
+        let bypassed = |kind| RunSpec {
+            options: SimOptions::new().with_l1d_bytes(0),
+            ..tiny_run(7, kind)
+        };
+        let want: Vec<u64> = NetworkKind::FIGURE_CNNS
+            .iter()
+            .map(|&kind| RunKey::for_run(&bypassed(kind)).digest)
+            .collect();
+        assert_eq!(digests(&only), want);
+        let all: HashSet<u64> = digests(&repro_plan(Preset::Tiny, 7)).into_iter().collect();
+        assert!(want.iter().all(|d| all.contains(d)));
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! `Tiny` where the claim is scale-free, keeping the test suite's
 //! simulation budget to roughly a minute.
 
+use tango::experiments::{find, Inputs};
 use tango::figures;
 use tango::Characterizer;
 use tango_nets::{NetworkKind, Preset};
@@ -13,6 +14,11 @@ use tango_sim::{GpuConfig, StallReason};
 
 fn bench_ch() -> Characterizer {
     Characterizer::new(GpuConfig::gp102(), Preset::Bench, 0x7A16_0201_9151)
+}
+
+/// The fetched needs of experiment `id` at the bench preset.
+fn bench_inputs(id: &str) -> Inputs {
+    find(id).unwrap().inputs(&bench_ch()).unwrap()
 }
 
 #[test]
@@ -120,8 +126,7 @@ fn observation5_stall_patterns_differentiate_layer_types() {
 
 #[test]
 fn observations6_7_op_mix_is_integer_heavy_and_concentrated() {
-    let ch = bench_ch();
-    let runs = figures::run_default_suite(&ch).unwrap();
+    let runs = bench_inputs("fig09").runs;
     let m = figures::fig9_top_ops(&runs);
     // Observation 7: the top-10 ops cover ~95% of all execution.
     let others = m.rows.last().unwrap().1[0];
@@ -139,9 +144,7 @@ fn observations6_7_op_mix_is_integer_heavy_and_concentrated() {
 
 #[test]
 fn observation11_conv_has_high_locality_fc_low() {
-    let ch = bench_ch();
-    let runs = figures::run_cnns_no_l1(&ch).unwrap();
-    let m = figures::fig14_l2_miss_ratio(&runs);
+    let m = figures::fig14_l2_miss_ratio(&bench_inputs("fig14").runs);
     let conv = m.get("AlexNet", "Conv").unwrap();
     let fc = m.get("AlexNet", "FC").unwrap();
     assert!(
@@ -177,7 +180,8 @@ fn observation12_lrr_wins_on_alexnet_rnns_insensitive() {
 
 #[test]
 fn fig6_shape_tx1_beats_pynq_on_time_loses_on_energy() {
-    let report = figures::fig6_tx1_vs_pynq(&bench_ch(), Preset::Paper).unwrap();
+    let inputs = bench_inputs("fig06");
+    let report = figures::fig6_tx1_vs_pynq(&inputs.runs, inputs.seed).unwrap();
     for net in ["CifarNet", "SqueezeNet"] {
         let tx1_t = report.time_s.get(net, "TX1").unwrap();
         let pynq_t = report.time_s.get(net, "PynQ").unwrap();
@@ -192,7 +196,7 @@ fn fig6_shape_tx1_beats_pynq_on_time_loses_on_energy() {
 
 #[test]
 fn fig12_shape_big_nets_use_large_register_files_rnns_tiny() {
-    let m = figures::fig12_register_usage(&bench_ch()).unwrap();
+    let m = figures::fig12_register_usage(&bench_inputs("fig12").builds);
     let alex = m.get("AlexNet", "Max Allocated Registers").unwrap();
     let gru = m.get("GRU", "Max Allocated Registers").unwrap();
     // Pascal: 256 KB register file per SM; AlexNet/ResNet exceed half.

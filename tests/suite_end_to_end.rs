@@ -2,14 +2,20 @@
 //! and every figure producer runs at tiny scale and emits well-formed,
 //! non-degenerate data.
 
+use tango::experiments::{find, Inputs};
 use tango::figures;
 use tango::tables;
-use tango::Characterizer;
+use tango::{BuildSpec, Characterizer};
 use tango_nets::{NetworkKind, Preset};
 use tango_sim::GpuConfig;
 
 fn tiny_ch() -> Characterizer {
     Characterizer::new(GpuConfig::gp102(), Preset::Tiny, 0x7A16_0201_9151)
+}
+
+/// The fetched needs of experiment `id`.
+fn inputs(ch: &Characterizer, id: &str) -> Inputs {
+    find(id).unwrap().inputs(ch).unwrap()
 }
 
 #[test]
@@ -20,7 +26,12 @@ fn every_table_renders() {
     // 138M synthetic weights) — covered by the repro binary; here check
     // the cheapest two networks render with the right columns.
     for kind in [NetworkKind::CifarNet, NetworkKind::Gru] {
-        let t = tables::table3_network(&tiny_ch(), kind).unwrap();
+        let spec = BuildSpec {
+            preset: Preset::Paper,
+            seed: tiny_ch().seed(),
+            kind,
+        };
+        let t = tables::table3_network(kind, &tiny_ch().fetch_build(&spec).unwrap());
         assert!(t.contains("gridDim"), "{t}");
         assert!(t.contains("regs"));
     }
@@ -29,8 +40,7 @@ fn every_table_renders() {
 
 #[test]
 fn every_simulated_figure_produces_rows() {
-    let ch = tiny_ch();
-    let runs = figures::run_default_suite(&ch).unwrap();
+    let runs = inputs(&tiny_ch(), "fig01").runs;
     assert_eq!(runs.len(), 7);
 
     let fig1 = figures::fig1_time_breakdown(&runs);
@@ -73,19 +83,19 @@ fn every_simulated_figure_produces_rows() {
 #[test]
 fn sweep_figures_produce_normalized_baselines() {
     let ch = tiny_ch();
-    let fig2 = figures::fig2_l1d_sensitivity(&ch).unwrap();
+    let fig2 = figures::fig2_l1d_sensitivity(&inputs(&ch, "fig02").runs);
     assert_eq!(fig2.rows.len(), 7);
     for (name, v) in &fig2.rows {
         assert!((v[0] - 1.0).abs() < 1e-9, "{name}: No-L1 baseline must be 1.0");
         assert!(v.iter().all(|&x| x > 0.0));
     }
 
-    let fig15 = figures::fig15_scheduler_sensitivity(&ch).unwrap();
+    let fig15 = figures::fig15_scheduler_sensitivity(&inputs(&ch, "fig15").runs);
     for (name, v) in &fig15.rows {
         assert!((v[0] - 1.0).abs() < 1e-9, "{name}: GTO baseline must be 1.0");
     }
 
-    let fig16 = figures::fig16_alexnet_per_layer_scheduler(&ch).unwrap();
+    let fig16 = figures::fig16_alexnet_per_layer_scheduler(&inputs(&ch, "fig16").runs);
     assert!(fig16.rows.len() > 10, "AlexNet has many layers");
     for (_, v) in &fig16.rows {
         assert!((v[0] - 1.0).abs() < 1e-9);
@@ -94,8 +104,7 @@ fn sweep_figures_produce_normalized_baselines() {
 
 #[test]
 fn stall_figure_covers_all_networks_and_sums_to_one() {
-    let ch = tiny_ch();
-    let fig7 = figures::fig7_stall_breakdown(&ch).unwrap();
+    let fig7 = figures::fig7_stall_breakdown(&inputs(&tiny_ch(), "fig07").runs);
     for kind in NetworkKind::ALL {
         assert!(
             fig7.rows.iter().any(|(name, _)| name.starts_with(kind.name())),
@@ -112,8 +121,7 @@ fn stall_figure_covers_all_networks_and_sums_to_one() {
 
 #[test]
 fn l2_figures_share_runs_and_are_consistent() {
-    let ch = tiny_ch();
-    let runs = figures::run_cnns_no_l1(&ch).unwrap();
+    let runs = inputs(&tiny_ch(), "fig13").runs;
     let misses = figures::fig13_l2_misses(&runs);
     let ratios = figures::fig14_l2_miss_ratio(&runs);
     assert_eq!(misses.rows.len(), 4);
@@ -147,8 +155,7 @@ fn every_layer_kernel_round_trips_through_the_assembler() {
 
 #[test]
 fn matrices_render_and_lookup() {
-    let ch = tiny_ch();
-    let runs = figures::run_default_suite(&ch).unwrap();
+    let runs = inputs(&tiny_ch(), "fig01").runs;
     let m = figures::fig1_time_breakdown(&runs);
     let text = m.to_string();
     assert!(text.contains("Fig 1"));
